@@ -7,7 +7,6 @@ the norm inequalities that tie the two sides together.
 
 from .errors import BoundaryDecayError, FactorizationError, GridMismatchError
 from .symbols import (
-    RearrangementProfile,
     SymbolGrid,
     classical_fourier,
     hormander_constant,
@@ -53,8 +52,7 @@ from .harness import (
     fit_decay_slope,
     run_case,
     run_suite,
-    sample_random_element,
 )
-from .oracle import ClassicalBackend, classical_case, classical_multiplier
+from .oracle import ClassicalBackend
 
 __version__ = "0.1.0"

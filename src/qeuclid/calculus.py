@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BoundaryDecayError
 from .spectra import schatten_norm, singular_profile
-from .symbols import SymbolGrid, grid_meshes
+from .symbols import SymbolGrid, _radius_sq, grid_meshes
 from .weyl import QuantizedOperator, dequantize, quantize
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "make_multiplier",
     "evaluate_multiplier",
     "apply_multiplier",
+    "multiply_transform",
     "partial_derivative",
     "heat_flow",
     "bessel_potential",
@@ -58,13 +59,6 @@ class MultiplierSymbol:
     def conjugate(self) -> "MultiplierSymbol":
         ev = self.evaluator
         return MultiplierSymbol(f"conj({self.label})", lambda *m: np.conj(ev(*m)), self.superlevel)
-
-
-def _radius_sq(meshes):
-    out = np.zeros_like(meshes[0])
-    for m in meshes:
-        out = out + m**2
-    return out
 
 
 def heat_symbol(t: float, dim: int = 2) -> MultiplierSymbol:
@@ -163,7 +157,16 @@ def apply_multiplier(
     n: int = 64,
 ) -> QuantizedOperator:
     """g(D) x = quantize(g * x_hat) on the requested Fourier grid."""
-    xhat = dequantize(x, half_width, n)
+    return multiply_transform(g, dequantize(x, half_width, n), x)[1]
+
+
+def multiply_transform(
+    g: MultiplierSymbol, xhat: SymbolGrid, x: QuantizedOperator
+) -> tuple[SymbolGrid, QuantizedOperator]:
+    """The pass behind :func:`apply_multiplier` on a given transform x_hat of x.
+
+    Returns g * x_hat and its quantization g(D) x.
+    """
     decay = xhat.boundary_decay()
     if decay >= MULTIPLIER_GATE:
         raise BoundaryDecayError(
@@ -172,7 +175,7 @@ def apply_multiplier(
         )
     gvals = evaluate_multiplier(g, xhat)
     gx = xhat.with_samples(gvals.samples * xhat.samples)
-    return quantize(gx, x.theta, x.fock_dim, boundary_gate=None)
+    return gx, quantize(gx, x.theta, x.fock_dim, boundary_gate=None)
 
 
 def partial_derivative(x: QuantizedOperator, axis: int, half_width: float = 8.0, n: int = 64) -> QuantizedOperator:

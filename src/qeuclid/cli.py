@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -214,16 +215,24 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     n_workers = _resolve_workers(cfg)
     results = {}
-    if n_workers == 1 or len(tasks) < 2:
-        _worker_init(cfg.to_json())
-        for task in tasks:
-            tid, idx, case = _worker_trial(task)
-            results[(tid, idx)] = case
-    else:
-        ctx = get_context("spawn")
-        with ctx.Pool(n_workers, initializer=_worker_init, initargs=(cfg.to_json(),)) as pool:
-            for tid, idx, case in pool.imap_unordered(_worker_trial, tasks, chunksize=4):
+    try:
+        if n_workers == 1 or len(tasks) < 2:
+            _worker_init(cfg.to_json())
+            for task in tasks:
+                tid, idx, case = _worker_trial(task)
                 results[(tid, idx)] = case
+        else:
+            with ProcessPoolExecutor(
+                n_workers, mp_context=get_context("spawn"),
+                initializer=_worker_init, initargs=(cfg.to_json(),),
+            ) as pool:
+                for tid, idx, case in pool.map(_worker_trial, tasks, chunksize=4):
+                    results[(tid, idx)] = case
+    except RuntimeError as exc:
+        # a dead pool worker (BrokenProcessPool), a failed trace-weight
+        # validation or an element draw that never passed its gate
+        print(f"verify error: {exc}", file=sys.stderr)
+        return 1
 
     all_cases: dict = {}
     for s in cfg.suites:

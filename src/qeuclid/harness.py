@@ -37,7 +37,6 @@ __all__ = [
     "REGISTRY",
     "registry_ids",
     "default_params",
-    "sample_random_element",
     "run_case",
     "run_suite",
     "estimate_norm_ratio",
@@ -156,15 +155,12 @@ class MoyalBackend:
     def norm(self, el: RandomElement, p: float) -> float:
         return spectra.schatten_norm(self.profile(el), p)
 
-    def lorentz(self, el: RandomElement, p: float, q: float) -> float:
-        return spectra.nc_lorentz_norm(self.profile(el), p, q)
-
     def pair_trace(self, x: RandomElement, y: RandomElement) -> complex:
         return calculus.pair_trace(x.payload, y.payload)
 
     def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
-        out = calculus.apply_multiplier(g, el.payload, self.half_width, self.n)
-        return RandomElement(symbol=el.symbol, payload=out, spec=el.spec)
+        gx, out = calculus.multiply_transform(g, self.fourier(el), el.payload)
+        return RandomElement(symbol=gx, payload=out, spec=el.spec)
 
     def heat(self, el: RandomElement, t: float) -> RandomElement:
         return self.apply(heat_symbol(t, self.dim), el)
@@ -198,11 +194,6 @@ class MoyalBackend:
             "half_width": self.half_width,
             "n": self.n,
         }
-
-
-def sample_random_element(backend, seed: int) -> RandomElement:
-    """Deterministic random Schwartz-class element for the given backend."""
-    return backend.sample_element(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +251,6 @@ def _weighted_lp(fhat: SymbolGrid, weight: np.ndarray, p: float) -> float:
     return float((np.sum(np.abs(fhat.samples) ** p * weight) * fhat.cell_volume) ** (1 / p))
 
 
-def _phi_mesh(backend) -> np.ndarray:
-    meshes = symbols.grid_meshes(backend.fourier_grid())
-    out = np.ones_like(meshes[0])
-    for m in meshes:
-        out = out + m**2
-    return out  # 1 + |s|^2
-
-
 # R1 ------------------------------------------------------------------------
 
 def _r1(backend, params, els):
@@ -318,7 +301,7 @@ def _r5(backend, params, els):
 def _r6(backend, params, els):
     (x,) = els
     p, beta = params["p"], params["beta"]
-    phi = _phi_mesh(backend)
+    phi = 1.0 + symbols._radius_sq(symbols.grid_meshes(backend.fourier_grid()))
     lhs = _weighted_lp(backend.fourier(x), phi ** (beta * (p - 2)), p)
     return lhs, backend.norm(x, p)
 
@@ -327,7 +310,7 @@ def _r7(backend, params, els):
     (x,) = els
     p, beta = params["p"], params["beta"]
     pp = conjugate_exponent(p)
-    phi = _phi_mesh(backend)
+    phi = 1.0 + symbols._radius_sq(symbols.grid_meshes(backend.fourier_grid()))
     # p-th roots of both sides keep the ratio scale-invariant
     rhs = _weighted_lp(backend.fourier(x), phi ** (beta * p * (2 - pp) / pp), p)
     return backend.norm(x, p), rhs
@@ -589,9 +572,9 @@ def run_case(backend, tid: str, params: dict, seed: int) -> TheoremCase:
     entry = REGISTRY[tid]
     if entry.admissible_fn is not None:
         entry.admissible_fn(backend, params)
-    # element seeds do not mix in the theorem id: the same trial seed draws
-    # the same element everywhere, which makes cross-statement consistency
-    # checks (same element, different functionals) exact
+    # the trial seed already mixes in the theorem id (run_suite and cmd_verify
+    # derive it as derive_seed(master, tid, i)), so no element is shared
+    # across suites
     els = [backend.sample_element(derive_seed(seed, "element", j)) for j in range(entry.n_elements)]
     spec = els[0].spec if els else {}
     try:

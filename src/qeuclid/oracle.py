@@ -19,32 +19,19 @@ import numpy as np
 from . import symbols
 from .calculus import MultiplierSymbol, bessel_symbol, heat_symbol
 from .errors import BoundaryDecayError, GridMismatchError
-from .harness import REGISTRY, RandomElement, TheoremCase, run_case
-from .spectra import SingularValueProfile
-from .symbols import SymbolGrid, classical_fourier, lorentz_step_norm
+from .harness import RandomElement
+from .spectra import SingularValueProfile, schatten_norm
+from .symbols import SymbolGrid, classical_fourier, rearrangement
 
 __all__ = [
     "ClassicalBackend",
     "CLASSICAL_IDS",
-    "classical_multiplier",
-    "classical_case",
 ]
 
 #: registry entries exercised on the commutative backend
 CLASSICAL_IDS = ("R1", "R2", "R3", "R4", "R5", "R9", "R10", "R14")
 
 TWO_PI = 2.0 * math.pi
-
-
-def classical_multiplier(g: MultiplierSymbol, position: SymbolGrid) -> SymbolGrid:
-    """g(D) acting on a position function: filter g on the transform side."""
-    if position.dim != 1:
-        raise GridMismatchError("classical multiplier expects a one-dimensional grid")
-    fhat = classical_fourier(position, -1)
-    gvals = np.asarray(g.evaluator(*symbols.grid_meshes(fhat)), dtype=complex)
-    filtered = fhat.with_samples(gvals * fhat.samples)
-    back = classical_fourier(filtered, +1)
-    return back.with_samples(back.samples / TWO_PI)
 
 
 class ClassicalBackend:
@@ -102,19 +89,11 @@ class ClassicalBackend:
     def profile(self, el: RandomElement) -> SingularValueProfile:
         if el._profile is None:
             F = el.payload
-            levels = np.sort(np.abs(F.samples))[::-1]
-            el._profile = SingularValueProfile(levels, F.cell_volume / TWO_PI)
+            el._profile = SingularValueProfile(rearrangement(F), F.cell_volume / TWO_PI)
         return el._profile
 
     def norm(self, el: RandomElement, p: float) -> float:
-        prof = self.profile(el)
-        if math.isinf(p):
-            return float(prof.sigmas[0]) if prof.sigmas.size else 0.0
-        return float((prof.weight * np.sum(prof.sigmas**p)) ** (1.0 / p))
-
-    def lorentz(self, el: RandomElement, p: float, q: float) -> float:
-        prof = self.profile(el)
-        return lorentz_step_norm(prof.sigmas, prof.weight, p, q)
+        return schatten_norm(self.profile(el), p)
 
     def pair_trace(self, x: RandomElement, y: RandomElement) -> complex:
         F, G = x.payload, y.payload
@@ -159,12 +138,3 @@ class ClassicalBackend:
 
     def describe(self) -> dict:
         return {"backend": "classical", "half_width": self.half_width, "n": self.n}
-
-
-def classical_case(tid: str, params: dict, seed: int, backend: Optional[ClassicalBackend] = None) -> TheoremCase:
-    """One commutative trial; only the shared registry subset is admitted."""
-    if tid not in CLASSICAL_IDS:
-        raise ValueError(f"{tid} is not in the classical subset {CLASSICAL_IDS}")
-    if tid not in REGISTRY:
-        raise ValueError(f"unknown theorem id {tid}")
-    return run_case(backend or ClassicalBackend(), tid, params, seed)

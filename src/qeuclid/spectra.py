@@ -24,7 +24,6 @@ __all__ = [
     "nc_lorentz_norm",
     "spectral_trace",
     "entropy_term",
-    "save_profile_csv",
 ]
 
 #: singular values below RANK_TOL * sigma_max are snapped to exact zero
@@ -47,15 +46,6 @@ class SingularValueProfile:
         if self.weight <= 0:
             raise ValueError("weight must be positive")
         object.__setattr__(self, "sigmas", s)
-
-    def mu(self, t: np.ndarray) -> np.ndarray:
-        """mu(t) = sigma_{floor(t/c)} for t < N c, else 0."""
-        t = np.asarray(t, dtype=float)
-        idx = np.floor(t / self.weight).astype(int)
-        out = np.zeros_like(t)
-        mask = (idx >= 0) & (idx < self.sigmas.size)
-        out[mask] = self.sigmas[idx[mask]]
-        return out
 
 
 def singular_profile(x: QuantizedOperator) -> SingularValueProfile:
@@ -107,10 +97,3 @@ def entropy_term(profile: SingularValueProfile, p: float) -> float:
     u = sig**p / mass
     pos = u > 0
     return float(profile.weight * np.sum(u[pos] * np.log(u[pos])))
-
-
-def save_profile_csv(profile: SingularValueProfile, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,sigma_k,c\n")
-        for k, s in enumerate(profile.sigmas):
-            fh.write(f"{k},{float(s)!r},{float(profile.weight)!r}\n")

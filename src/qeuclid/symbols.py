@@ -15,18 +15,16 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "SymbolGrid",
-    "RearrangementProfile",
     "axis_nodes",
     "grid_meshes",
     "sample_symbol",
-    "symbol_from_callable",
     "classical_fourier",
     "lebesgue_norm",
     "rearrangement",
@@ -36,8 +34,6 @@ __all__ = [
     "threshold_grid",
     "paley_weight_constant",
     "hormander_constant",
-    "save_symbol_csv",
-    "load_symbol_csv",
 ]
 
 #: shipped grid defaults: (half_width, points_per_axis) keyed by dimension
@@ -109,9 +105,6 @@ class SymbolGrid:
             edge = max(a[0, :].max(), a[-1, :].max(), a[:, 0].max(), a[:, -1].max())
         return float(edge / peak)
 
-    def integral(self) -> complex:
-        return complex(self.samples.sum() * self.cell_volume)
-
     def same_grid(self, other: "SymbolGrid") -> bool:
         return (
             self.dim == other.dim
@@ -128,19 +121,8 @@ def grid_meshes(grid: SymbolGrid) -> tuple[np.ndarray, ...]:
     return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
 
-def symbol_from_callable(
-    func: Callable[..., np.ndarray],
-    half_width: float,
-    n: int,
-    dim: int = 2,
-) -> SymbolGrid:
-    """Sample ``func(*meshes)`` on a fresh midpoint grid."""
-    ref = SymbolGrid(dim, half_width, n, np.zeros((n,) * dim))
-    values = np.asarray(func(*grid_meshes(ref)), dtype=complex)
-    return ref.with_samples(np.broadcast_to(values, ref.samples.shape).copy())
-
-
 def _radius_sq(meshes: Sequence[np.ndarray]) -> np.ndarray:
+    """|s|^2 on coordinate meshes."""
     out = np.zeros_like(meshes[0])
     for m in meshes:
         out = out + m**2
@@ -162,9 +144,6 @@ def sample_symbol(
       * ``heat``: exp(-t |s|^2)
       * ``bessel``: (1 + |s|^2)^(-sigma/2)
       * ``coordinate``: i * s_axis * exp(-a |s|^2)
-
-    ``params`` may also carry ``{"grid": {"half_width":..., "n":..., "dim":...}}``
-    via :func:`symbol_from_descriptor`; here grid parameters are explicit.
     """
     params = dict(params or {})
     if half_width is None or n is None:
@@ -215,18 +194,6 @@ def sample_symbol(
         raise ValueError(f"unknown symbol family {family!r}")
 
     return ref.with_samples(vals)
-
-
-def symbol_from_descriptor(desc: dict) -> SymbolGrid:
-    """Build a symbol from a config entry {family, params, grid:{...}}."""
-    grid = desc.get("grid", {})
-    return sample_symbol(
-        desc["family"],
-        desc.get("params"),
-        half_width=grid.get("half_width"),
-        n=grid.get("n"),
-        dim=int(grid.get("dim", 2)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,43 +254,13 @@ def lebesgue_norm(f: SymbolGrid, p: float) -> float:
     return float((np.sum(np.abs(f.samples) ** p) * f.cell_volume) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class RearrangementProfile:
-    """Decreasing rearrangement as a step function with uniform weights."""
+def rearrangement(f: SymbolGrid) -> np.ndarray:
+    """Decreasing rearrangement: the sample moduli in descending order.
 
-    levels: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if levels.shape != weights.shape:
-            raise ValueError("levels and weights must have equal length")
-        if np.any(np.diff(levels) > 0):
-            raise ValueError("levels must be non-increasing")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-    def value_at(self, t: np.ndarray) -> np.ndarray:
-        """mu(t): step function, right-continuous, zero past the total weight."""
-        edges = np.concatenate([[0.0], np.cumsum(self.weights)])
-        idx = np.searchsorted(edges, t, side="right") - 1
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        mask = (idx >= 0) & (idx < self.levels.size)
-        out[mask] = self.levels[idx[mask]]
-        return out
-
-
-def rearrangement(f: SymbolGrid) -> RearrangementProfile:
-    levels = np.sort(np.abs(f.samples).ravel())[::-1]
-    weights = np.full(levels.shape, f.cell_volume)
-    return RearrangementProfile(levels, weights)
+    As a step function, mu(t) = levels[j] on [j dV, (j+1) dV) with dV the
+    cell volume.
+    """
+    return np.sort(np.abs(f.samples).ravel())[::-1]
 
 
 def lorentz_step_norm(levels: np.ndarray, weight: float, p: float, q: float) -> float:
@@ -357,8 +294,7 @@ def lorentz_step_norm(levels: np.ndarray, weight: float, p: float, q: float) -> 
 
 def lorentz_norm(f: SymbolGrid, p: float, q: float) -> float:
     """Classical Lorentz L^{p,q} quasinorm of a sampled function."""
-    prof = rearrangement(f)
-    return lorentz_step_norm(prof.levels, f.cell_volume, p, q)
+    return lorentz_step_norm(rearrangement(f), f.cell_volume, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +366,3 @@ def hormander_constant(
             continue
         best = max(best, t * m**gamma)
     return float(best)
-
-
-# ---------------------------------------------------------------------------
-# Serialization (CLI cache format)
-# ---------------------------------------------------------------------------
-
-
-def save_symbol_csv(f: SymbolGrid, path: str) -> None:
-    flat = f.samples.ravel()
-    with open(path, "w") as fh:
-        fh.write(f"# dim={f.dim} half_width={f.half_width!r} n={f.points_per_axis}\n")
-        fh.write("index,re,im\n")
-        for i, v in enumerate(flat):
-            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def load_symbol_csv(path: str) -> SymbolGrid:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing grid header line")
-        fields = dict(tok.split("=") for tok in header[1:].split())
-        dim = int(fields["dim"])
-        half_width = float(fields["half_width"])
-        n = int(fields["n"])
-        fh.readline()  # column names
-        data = np.loadtxt(fh, delimiter=",")
-    flat = data[:, 1] + 1j * data[:, 2]
-    return SymbolGrid(dim, half_width, n, flat.reshape((n,) * dim))

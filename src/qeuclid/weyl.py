@@ -28,9 +28,7 @@ several hundred.
 
 from __future__ import annotations
 
-import json
-import struct
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,8 +47,6 @@ __all__ = [
     "trace_tau",
     "weyl_defect",
     "kernel_trace_oracle",
-    "save_operator",
-    "load_operator",
 ]
 
 H_RANGE = (0.1, 10.0)
@@ -107,13 +103,9 @@ class DeformationMatrix:
 # Displacement matrix elements
 # ---------------------------------------------------------------------------
 
-_lgamma_cache: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _lgamma(N: int) -> np.ndarray:
-    if N not in _lgamma_cache:
-        _lgamma_cache[N] = gammaln(np.arange(N + 1, dtype=float))
-    return _lgamma_cache[N]
+    return gammaln(np.arange(N + 1, dtype=float))
 
 
 def _displacement_block(alphas: np.ndarray, N: int) -> np.ndarray:
@@ -171,54 +163,31 @@ def _displacement_block(alphas: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-_disp_cache: dict = {}
-_disp_lock = threading.Lock()
-
-
 def displacement_matrix(theta: DeformationMatrix, t, N: int) -> np.ndarray:
-    """Truncated U_theta(t) in the Fock basis (exact matrix elements).
-
-    Cached per (h, t, N); the cache is read-mostly, insertion is locked.
-    """
+    """Truncated U_theta(t) in the Fock basis (exact matrix elements)."""
     if N < 2:
         raise ValueError("Fock dimension must be at least 2")
     t = np.asarray(t, dtype=float)
     if t.shape != (2,):
         raise ValueError("t must be a real 2-vector")
-    key = (theta.h, float(t[0]), float(t[1]), N)
-    hit = _disp_cache.get(key)
-    if hit is not None:
-        return hit
-    mat = _displacement_block(np.array([theta.alpha(t)]), N)[0]
-    mat.setflags(write=False)
-    with _disp_lock:
-        if len(_disp_cache) > 4096:
-            _disp_cache.clear()
-        _disp_cache[key] = mat
-    return mat
+    return _displacement_block(np.array([theta.alpha(t)]), N)[0]
 
 
 # ---------------------------------------------------------------------------
 # Full-grid displacement stacks (vec'd, cached)
 # ---------------------------------------------------------------------------
 
-_stack_cache: dict = {}
-_stack_order: list = []
-_stack_lock = threading.Lock()
-_STACK_CACHE_SIZE = 2
 
-
-def _grid_stack(theta: DeformationMatrix, half_width: float, n: int, N: int) -> np.ndarray:
+# The cached helpers key on theta.h: DeformationMatrix holds an ndarray and
+# does not hash.
+@functools.lru_cache(maxsize=2)
+def _grid_stack(h: float, half_width: float, n: int, N: int) -> np.ndarray:
     """vec'd U(t_k) for every node of the (half_width, n) midpoint grid.
 
     Returns shape (n*n, N*N), row k = U(t_{i1,i2}).ravel() with
     k = i1 * n + i2.  Exploits t -> -t and per-axis sign symmetries: only one
     quadrant is generated, mirrors are conjugates / transposes.
     """
-    key = (theta.h, float(half_width), n, N)
-    hit = _stack_cache.get(key)
-    if hit is not None:
-        return hit
     nbytes = (n * n) * (N * N) * 16
     if nbytes > MAX_STACK_BYTES:
         raise MemoryError(
@@ -227,7 +196,7 @@ def _grid_stack(theta: DeformationMatrix, half_width: float, n: int, N: int) -> 
         )
     s = axis_nodes(half_width, n)
     half = (n + 1) // 2
-    scale = np.sqrt(theta.h / 2.0)
+    scale = np.sqrt(h / 2.0)
     stack = np.empty((n * n, N * N), dtype=complex)
     batch = max(1, min(half * half, 8 * 1024 * 1024 // (N * N) + 1))
     pairs = [(i1, i2) for i1 in range(half) for i2 in range(half)]
@@ -246,13 +215,6 @@ def _grid_stack(theta: DeformationMatrix, half_width: float, n: int, N: int) -> 
             if j1 != i1 and j2 != i2:
                 stack[j1 * n + j2] = np.conj(blk_t[b]).ravel()  # t -> -t: dagger
     stack.setflags(write=False)
-    with _stack_lock:
-        if key not in _stack_cache:
-            while len(_stack_order) >= _STACK_CACHE_SIZE:
-                old = _stack_order.pop(0)
-                _stack_cache.pop(old, None)
-            _stack_cache[key] = stack
-            _stack_order.append(key)
     return stack
 
 
@@ -273,32 +235,26 @@ def _trace_kernel(x: np.ndarray, N: int) -> np.ndarray:
     return np.exp(-x / 2) * L1
 
 
-_weight_checked: set = set()
-
-
-def _validate_trace_weight(theta: DeformationMatrix, N: int) -> None:
+@functools.cache
+def _validate_trace_weight(h: float, N: int) -> None:
     """Fail fast if c = h/(2pi) does not reproduce f(0) on a canonical Gaussian.
 
     Runs on a private grid wide enough in reciprocal space for the given
     (h, N), so it tests the weight, not the caller's grid resolution.
     """
-    key = (theta.h, N)
-    if key in _weight_checked:
-        return
     L = 8.0
-    need = np.sqrt(2.0 * theta.h * N) + 10.0
+    need = np.sqrt(2.0 * h * N) + 10.0
     n = int(np.ceil(need * L / np.pi / 16.0)) * 16
     s = axis_nodes(L, n)
     T1, T2 = np.meshgrid(s, s, indexing="ij")
     f = np.exp(-(T1**2 + T2**2) / 2.0)
-    xarg = (theta.h / 2.0) * (T1**2 + T2**2)
-    tau = theta.trace_weight * np.sum(f * _trace_kernel(xarg, N)) * (2 * L / n) ** 2
+    xarg = (h / 2.0) * (T1**2 + T2**2)
+    tau = h / (2.0 * np.pi) * np.sum(f * _trace_kernel(xarg, N)) * (2 * L / n) ** 2
     if abs(tau - 1.0) > TRACE_WEIGHT_TOL:
         raise RuntimeError(
-            f"trace weight validation failed for h={theta.h}, N={N}: "
+            f"trace weight validation failed for h={h}, N={N}: "
             f"tau(gaussian)={tau!r}, expected 1"
         )
-    _weight_checked.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +299,6 @@ class QuantizedOperator:
     def adjoint(self) -> "QuantizedOperator":
         return QuantizedOperator(self.fock_dim, self.matrix.conj().T, self.theta, self.trace_weight)
 
-    def compose(self, other: "QuantizedOperator") -> "QuantizedOperator":
-        self._check_compatible(other)
-        return QuantizedOperator(self.fock_dim, self.matrix @ other.matrix, self.theta, self.trace_weight)
-
 
 def quantize(
     f: SymbolGrid,
@@ -369,8 +321,8 @@ def quantize(
                 f"symbol boundary decay {decay:.2e} exceeds gate {boundary_gate:.0e}; "
                 "enlarge the grid"
             )
-    _validate_trace_weight(theta, N)
-    stack = _grid_stack(theta, f.half_width, f.points_per_axis, N)
+    _validate_trace_weight(theta.h, N)
+    stack = _grid_stack(theta.h, f.half_width, f.points_per_axis, N)
     vec = (f.samples.ravel() * f.cell_volume) @ stack
     return QuantizedOperator(N, vec.reshape(N, N), theta, theta.trace_weight)
 
@@ -380,7 +332,7 @@ def dequantize(
 ) -> SymbolGrid:
     """x_hat(s) = c Tr(x U(s)^dagger) on every node of the requested grid."""
     N = x.fock_dim
-    stack = _grid_stack(x.theta, half_width, n, N)
+    stack = _grid_stack(x.theta.h, half_width, n, N)
     # Tr(x U^dag) = sum_{mn} x_mn conj(U_mn) = conj(stack @ conj(vec x))
     vals = x.trace_weight * np.conj(stack @ np.conj(x.matrix.ravel()))
     return SymbolGrid(2, half_width, n, vals.reshape(n, n))
@@ -432,36 +384,3 @@ def kernel_trace_oracle(
     du = 2 * u_extent / nu
     inner = np.exp(1j * np.outer(u, t)) @ ft * dt
     return complex(inner.sum() * du / h)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"QOP1"
-
-
-def save_operator(x: QuantizedOperator, path: str, provenance: Optional[dict] = None) -> None:
-    """Binary blob (N, h, c, row-major entries) plus a JSON sidecar."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qdd", x.fock_dim, x.theta.h, x.trace_weight))
-        fh.write(np.ascontiguousarray(x.matrix, dtype=np.complex128).tobytes())
-    with open(path + ".json", "w") as fh:
-        json.dump(
-            {"fock_dim": x.fock_dim, "h": x.theta.h, "trace_weight": x.trace_weight,
-             "provenance": provenance or {}},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-
-
-def load_operator(path: str) -> QuantizedOperator:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not an operator blob")
-        N, h, c = struct.unpack("<qdd", fh.read(24))
-        mat = np.frombuffer(fh.read(), dtype=np.complex128).reshape(N, N).copy()
-    theta = DeformationMatrix.canonical(h)
-    return QuantizedOperator(int(N), mat, theta, c)

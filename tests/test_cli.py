@@ -1,5 +1,9 @@
+import ast
+import importlib
 import json
 import os
+import pkgutil
+import signal
 import subprocess
 import sys
 
@@ -145,3 +149,66 @@ def test_probe_multiplier_norm():
     )
     assert res.returncode == 0, res.stderr
     assert "lower bound" in res.stdout and "level-set bound" in res.stdout
+
+
+def test_exports_resolve():
+    import qeuclid
+
+    for info in pkgutil.iter_modules(qeuclid.__path__):
+        mod = importlib.import_module(f"qeuclid.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"qeuclid.{info.name}.{name}"
+    init = ast.parse(open(qeuclid.__file__).read())
+    for node in ast.walk(init):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                assert hasattr(qeuclid, alias.asname or alias.name), alias.name
+
+
+def test_verify_trace_weight_failure_exits_one(tmp_path, monkeypatch, capsys):
+    from qeuclid import weyl
+
+    def fail(h, N):
+        raise RuntimeError(f"trace weight validation failed for h={h}, N={N}")
+
+    monkeypatch.setattr(weyl, "_validate_trace_weight", fail)
+    monkeypatch.setenv("QEUCLID_WORKERS", "1")
+    assert cmd_verify(small_config(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify error: trace weight validation failed") and err.count("\n") == 1
+
+
+SITECUSTOMIZE = """
+import multiprocessing, os
+import qeuclid.harness as harness
+
+_run_case = harness.run_case
+
+def run_case(*args, **kwargs):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _run_case(*args, **kwargs)
+
+harness.run_case = run_case
+"""
+
+
+def test_verify_exits_one_when_a_worker_dies(tmp_path):
+    # every pool worker exits on its first trial; verify must end, not hang
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(small_config(tmp_path / "out", trials=6).to_json())
+    env = dict(os.environ, QEUCLID_WORKERS="2", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qeuclid.cli", "verify", "--config", str(cfg_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1, err
+    assert "verify error" in err and "Traceback" not in err

@@ -15,9 +15,9 @@ from qeuclid.harness import (
     registry_ids,
     run_case,
     run_suite,
-    sample_random_element,
     sobolev_scale_sweep,
 )
+from qeuclid import calculus
 from qeuclid.calculus import constant_symbol, heat_symbol
 
 
@@ -36,16 +36,28 @@ def scaled_element(backend, el, lam):
 
 
 def test_sampling_deterministic(small_backend):
-    a = sample_random_element(small_backend, 42)
-    b = sample_random_element(small_backend, 42)
+    a = small_backend.sample_element(42)
+    b = small_backend.sample_element(42)
     assert np.array_equal(a.symbol.samples, b.symbol.samples)
     assert np.array_equal(a.payload.matrix, b.payload.matrix)
 
 
 def test_sampling_distinct_seeds(small_backend):
-    a = sample_random_element(small_backend, 7)
-    b = sample_random_element(small_backend, 8)
+    a = small_backend.sample_element(7)
+    b = small_backend.sample_element(8)
     assert np.abs(a.symbol.samples - b.symbol.samples).max() > 1e-3
+
+
+@pytest.mark.parametrize("backend_name", ["small_backend", "classical_backend"])
+def test_apply_sets_multiplied_symbol(request, backend_name):
+    backend = request.getfixturevalue(backend_name)
+    el = backend.sample_element(3)
+    xhat = backend.fourier(el)
+    g = heat_symbol(0.5, backend.dim)
+    out = backend.apply(g, el)
+    assert out.symbol.same_grid(backend.fourier_grid())
+    expected = calculus.evaluate_multiplier(g, xhat).samples * xhat.samples
+    assert np.array_equal(out.symbol.samples, expected)
 
 
 def test_sampling_boundary_gate_audit():
@@ -102,7 +114,7 @@ SCALE_INVARIANT_IDS = ["R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R11", "R
 def test_ratio_scale_invariance(small_backend, tid):
     entry = REGISTRY[tid]
     params = default_params(tid, small_backend)[0]
-    el = sample_random_element(small_backend, 23)
+    el = small_backend.sample_element(23)
     lhs0, rhs0 = entry.compute_fn(small_backend, params, [el])
     lhs1, rhs1 = entry.compute_fn(small_backend, params, [scaled_element(small_backend, el, 3.7)])
     assert lhs1 / rhs1 == pytest.approx(lhs0 / rhs0, rel=1e-10)

@@ -5,13 +5,12 @@ import pytest
 
 from qeuclid.calculus import constant_symbol, translation_symbol
 from qeuclid.harness import default_params, run_case
-from qeuclid.oracle import CLASSICAL_IDS, classical_case, classical_multiplier
 from qeuclid.symbols import hormander_constant, sample_symbol
 
 
 def test_identity_multiplier(classical_backend):
     el = classical_backend.sample_element(3)
-    back = classical_multiplier(constant_symbol(1.0), el.payload)
+    back = classical_backend.apply(constant_symbol(1.0), el).payload
     assert np.abs(back.samples - el.payload.samples).max() < 1e-8 * np.abs(el.payload.samples).max()
 
 
@@ -49,8 +48,8 @@ def test_parseval_classical(classical_backend):
     assert abs(lhs - rhs) / rhs < 1e-8
 
 
-def test_r2_parseval_case():
-    case = classical_case("R2", {"p": 2.0}, 4)
+def test_r2_parseval_case(classical_backend):
+    case = run_case(classical_backend, "R2", {"p": 2.0}, 4)
     assert abs(case.ratio - 1.0) < 1e-8
 
 
@@ -78,12 +77,6 @@ def test_classical_heat_decay_slope(classical_backend):
     gamma = 0.5 * (1 / (4 / 3) - 1 / 4)
     assert case.lhs >= -gamma - 0.05
     assert case.passed
-
-
-def test_classical_case_id_restriction():
-    with pytest.raises(ValueError):
-        classical_case("R16", {"p": 1.0, "q": 2.0}, 0)
-    assert set(CLASSICAL_IDS) <= {f"R{i}" for i in range(1, 19)}
 
 
 def test_classical_r5_weight_constant(classical_backend):

@@ -7,7 +7,6 @@ from qeuclid.spectra import (
     distribution_function,
     entropy_term,
     nc_lorentz_norm,
-    save_profile_csv,
     schatten_norm,
     singular_profile,
     spectral_trace,
@@ -64,12 +63,6 @@ def test_unitary_block_profile(theta):
     assert np.allclose(prof.sigmas, 1.0, atol=1e-10)
 
 
-def test_mu_step_function(theta):
-    prof = SingularValueProfile(np.array([3.0, 1.0]), 0.5)
-    assert np.array_equal(prof.mu(np.array([0.0, 0.49, 0.5, 0.99, 1.0, 5.0])),
-                          np.array([3.0, 3.0, 1.0, 1.0, 0.0, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # distribution function
 # ---------------------------------------------------------------------------
@@ -84,16 +77,16 @@ def test_distribution_edges(theta):
 
 
 def test_distribution_mu_galois_links(rng, theta):
+    # n(s) = c * #{sigma_k > s}: strict, so n(sigma_k) <= k c, and the
+    # level past n(s) is at most s
     for _ in range(10):
         sig = np.sort(rng.uniform(0, 3, size=12))[::-1]
         prof = SingularValueProfile(sig, 0.3)
         for s in np.concatenate([sig, rng.uniform(0, 3.5, size=8)]):
-            t = distribution_function(prof, s)
-            assert prof.mu(np.array([t]))[0] <= s + 1e-12
-        for t in np.linspace(0.0, 12 * 0.3, 25):
-            m = prof.mu(np.array([t]))[0]
-            if m > 0:
-                assert distribution_function(prof, m) <= t + 1e-12
+            k = round(distribution_function(prof, s) / 0.3)
+            assert k == sig.size or sig[k] <= s
+        for k, m in enumerate(sig):
+            assert distribution_function(prof, m) <= k * 0.3 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +216,6 @@ def test_entropy_flat_spectrum_closed_form(theta):
     for k, p in [(4, 1.5), (9, 2.0)]:
         prof = SingularValueProfile(np.concatenate([3.0 * np.ones(k), np.zeros(3)]), c)
         assert entropy_term(prof, p) == pytest.approx(-np.log(c * k), rel=1e-12)
-
-
-def test_profile_csv(tmp_path, rng, theta):
-    prof = singular_profile(random_op(rng, theta, N=8))
-    path = tmp_path / "prof.csv"
-    save_profile_csv(prof, str(path))
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "k,sigma_k,c" and len(rows) == 9
 
 
 def test_quantized_gaussian_thermal_spectrum(theta):

@@ -1,19 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
+from qeuclid import weyl
 from qeuclid.errors import BoundaryDecayError
 from qeuclid.symbols import SymbolGrid, axis_nodes, lebesgue_norm, sample_symbol
 from qeuclid.weyl import (
     DeformationMatrix,
+    QuantizedOperator,
     dequantize,
     displacement_matrix,
     kernel_trace_oracle,
-    load_operator,
     quantize,
-    save_operator,
     trace_tau,
     weyl_defect,
 )
@@ -264,38 +266,39 @@ def test_operator_roundtrip_block(theta):
     assert num / den < 1e-4
 
 
-def test_operator_blob_roundtrip(theta, tmp_path):
-    f = gaussian_mixture(8.0, 32, [(1.0, 0.0, 0.0, 0.8)])
-    x = quantize(f, theta, 32)
-    path = str(tmp_path / "op.bin")
-    save_operator(x, path, provenance={"seed": 3})
-    y = load_operator(path)
-    assert y.fock_dim == 32 and y.theta.h == theta.h
-    assert np.array_equal(y.matrix, x.matrix)
-
-
 def test_quantize_requires_dim2(theta):
     f = sample_symbol("gaussian", {"a": 1.0}, 8.0, 64, dim=1)
     with pytest.raises(ValueError):
         quantize(f, theta, 32)
 
 
-def test_displacement_cache_concurrent_readers(theta):
-    import threading
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
-    results = []
 
-    def reader(t):
-        for _ in range(20):
-            results.append(displacement_matrix(theta, t, 24))
-
-    threads = [threading.Thread(target=reader, args=((0.3 * k, -0.1 * k),)) for k in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    ref = {}
-    for mat in results:
-        key = mat[0, 0]
-        ref.setdefault(key, mat)
-        assert np.array_equal(mat, ref[key])
+@given(
+    n=st.integers(3, 8),
+    N=st.integers(2, 12),
+    h=st.sampled_from([0.5, 1.0, 2.0]),
+    L=st.sampled_from([2.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_stack_matches_direct_sums(n, N, h, L, seed):
+    # quantize / dequantize read a two-entry cache of mirrored displacement
+    # stacks; compare them with per-node displacement_matrix sums on three
+    # windows in a row and the first again, so one stack is evicted and rebuilt.
+    # The trace-weight check is off: at these Fock sizes it rejects h = 0.5.
+    theta = DeformationMatrix.canonical(h)
+    c = theta.trace_weight
+    rng = np.random.default_rng(seed)
+    for m in (n, n + 1, n + 2, n):
+        s = axis_nodes(L, m)
+        U = [[displacement_matrix(theta, (s[i], s[j]), N) for j in range(m)] for i in range(m)]
+        f = SymbolGrid(2, L, m, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        x = QuantizedOperator(N, rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta, c)
+        with mock.patch.object(weyl, "_validate_trace_weight", lambda h, N: None):
+            got = quantize(f, theta, N, boundary_gate=None).matrix
+        ref = sum(f.samples[i, j] * U[i][j] for i in range(m) for j in range(m)) * f.cell_volume
+        assert _rel(got, ref) <= 1e-13
+        ref = np.array([[c * np.sum(x.matrix * np.conj(U[i][j])) for j in range(m)] for i in range(m)])
+        assert _rel(dequantize(x, L, m).samples, ref) <= 1e-13
