@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qeuclid.harness import MoyalBackend, fit_decay_slope
+from qeuclid.harness import MoyalBackend, fit_decay_slope, heat_decay_ratios
 
 
 def main() -> int:
@@ -33,9 +33,7 @@ def main() -> int:
 
     rows = ["p,q,slope,envelope_exponent"]
     for p, q in pairs:
-        base = backend.norm(probe, p)
-        samples = [(t, backend.norm(backend.heat(probe, t), q) / base) for t in ts]
-        slope = fit_decay_slope(samples)
+        slope = fit_decay_slope(heat_decay_ratios(backend, probe, p, q, ts))
         gamma = (backend.dim / 2) * (1 / p - 1 / q)
         rows.append(f"{p},{q},{slope!r},{-gamma!r}")
         print(f"p={p:.4g} q={q:.4g}: slope {slope:+.4f}  envelope {-gamma:+.4f}")

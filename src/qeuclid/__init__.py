@@ -15,7 +15,6 @@ from .symbols import (
     paley_weight_constant,
     rearrangement,
     sample_symbol,
-    superlevel_measure,
 )
 from .weyl import (
     DeformationMatrix,

@@ -50,46 +50,28 @@ MULTIPLIER_GATE = 1e-8
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """A closed-form multiplier symbol with an optional analytic superlevel map."""
+    """A closed-form multiplier symbol."""
 
     label: str
     evaluator: Callable[..., np.ndarray]
-    superlevel: Optional[Callable[[float], float]] = None
 
     def conjugate(self) -> "MultiplierSymbol":
         ev = self.evaluator
-        return MultiplierSymbol(f"conj({self.label})", lambda *m: np.conj(ev(*m)), self.superlevel)
+        return MultiplierSymbol(f"conj({self.label})", lambda *m: np.conj(ev(*m)))
 
 
-def heat_symbol(t: float, dim: int = 2) -> MultiplierSymbol:
-    """exp(-t |xi|^2); superlevel |{g >= u}| is pi(-ln u)/t (d=2) or 2 sqrt(-ln u / t) (d=1)."""
+def heat_symbol(t: float) -> MultiplierSymbol:
+    """exp(-t |xi|^2)."""
     if t < 0:
         raise ValueError("heat time must be nonnegative")
     if t == 0:
         return constant_symbol(1.0)
-
-    def lvl(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        v = -np.log(u) / t
-        return float(np.pi * v) if dim == 2 else float(2.0 * np.sqrt(v))
-
-    return MultiplierSymbol(f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lvl)
+    return MultiplierSymbol(f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)))
 
 
-def bessel_symbol(s: float, dim: int = 2) -> MultiplierSymbol:
-    """(1 + |xi|^2)^(s/2); analytic superlevel attached for s < 0."""
-    lvl = None
-    if s < 0:
-        def lvl(u: float) -> float:
-            if u >= 1.0:
-                return 0.0
-            r2 = u ** (2.0 / s) - 1.0
-            return float(np.pi * r2) if dim == 2 else float(2.0 * np.sqrt(r2))
-
-    return MultiplierSymbol(
-        f"bessel(s={s:g})", lambda *m: (1.0 + _radius_sq(m)) ** (s / 2.0) + 0j, lvl
-    )
+def bessel_symbol(s: float) -> MultiplierSymbol:
+    """(1 + |xi|^2)^(s/2)."""
+    return MultiplierSymbol(f"bessel(s={s:g})", lambda *m: (1.0 + _radius_sq(m)) ** (s / 2.0) + 0j)
 
 
 def derivative_symbol(axis: int) -> MultiplierSymbol:
@@ -109,26 +91,19 @@ def constant_symbol(c: complex) -> MultiplierSymbol:
     return MultiplierSymbol(f"const({c})", lambda *m: np.full_like(m[0], c, dtype=complex))
 
 
-def disc_indicator(radius: float, dim: int = 2) -> MultiplierSymbol:
-    def lvl(u: float) -> float:
-        if u > 1.0:
-            return 0.0
-        return float(np.pi * radius**2) if dim == 2 else float(2.0 * radius)
-
+def disc_indicator(radius: float) -> MultiplierSymbol:
     return MultiplierSymbol(
-        f"disc(r={radius:g})",
-        lambda *m: (_radius_sq(m) <= radius**2).astype(complex),
-        lvl,
+        f"disc(r={radius:g})", lambda *m: (_radius_sq(m) <= radius**2).astype(complex)
     )
 
 
 _NAMED = {
-    "heat": lambda params, dim: heat_symbol(float(params.get("t", 1.0)), dim),
-    "bessel": lambda params, dim: bessel_symbol(float(params.get("s", -2.0)), dim),
+    "heat": lambda params, dim: heat_symbol(float(params.get("t", 1.0))),
+    "bessel": lambda params, dim: bessel_symbol(float(params.get("s", -2.0))),
     "derivative": lambda params, dim: derivative_symbol(int(params.get("axis", 0))),
     "translate": lambda params, dim: translation_symbol(params.get("a", (0.0,) * dim)),
     "one": lambda params, dim: constant_symbol(1.0),
-    "disc": lambda params, dim: disc_indicator(float(params.get("radius", 1.0)), dim),
+    "disc": lambda params, dim: disc_indicator(float(params.get("radius", 1.0))),
 }
 
 

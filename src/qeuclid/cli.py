@@ -18,6 +18,7 @@ for _var in (
     os.environ.setdefault(_var, "1")
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -168,15 +169,16 @@ def _fmt(x) -> str:
 def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
-    with open(out_dir / "cases.csv", "w") as fh:
-        fh.write("theorem,trial,seed,params,lhs,rhs,ratio,passed,reason,config_hash\n")
+    with open(out_dir / "cases.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow("theorem,trial,seed,params,lhs,rhs,ratio,passed,reason,config_hash".split(","))
         for tid in sorted(all_cases, key=lambda t: int(t[1:])):
             for trial, case in enumerate(all_cases[tid]):
                 params = json.dumps(case.params, sort_keys=True, separators=(",", ":"))
-                fh.write(
-                    f'{tid},{trial},{case.seed},"{params}",{_fmt(case.lhs)},{_fmt(case.rhs)},'
-                    f"{_fmt(case.ratio)},{case.passed},{case.reason},{chash}\n"
-                )
+                writer.writerow([
+                    tid, trial, case.seed, params, _fmt(case.lhs), _fmt(case.rhs),
+                    _fmt(case.ratio), case.passed, case.reason, chash,
+                ])
     payload = {
         "config_hash": chash,
         "suites": {
@@ -275,10 +277,8 @@ def _probe_heat_decay(args) -> int:
     backend = make_backend(RunConfig(backend=args.backend, theta_h=args.h, fock_dim=args.N,
                                      grid_half_width=cfg.grid_half_width, grid_points=cfg.grid_points,
                                      suites=[]))
-    probe = backend.heat_probe()
-    base = backend.norm(probe, args.p)
     ts = np.geomspace(args.tmin, args.tmax, args.npts)
-    rows = [(t, backend.norm(backend.heat(probe, t), args.q) / base) for t in ts]
+    rows = harness.heat_decay_ratios(backend, backend.heat_probe(), args.p, args.q, ts)
     slope = harness.fit_decay_slope(rows)
     lines = ["t,ratio"] + [f"{_fmt(float(t))},{_fmt(float(r))}" for t, r in rows]
     text = "\n".join(lines) + f"\nslope,{_fmt(slope)}\n"

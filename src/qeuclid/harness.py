@@ -2,7 +2,7 @@
 
 Eighteen registered statements (R1..R18) relate weighted-trace norms of a
 quantized element, classical norms of its Fourier transform, multiplier
-actions, and superlevel-set functionals.  Each suite draws random
+actions, and level-set constants.  Each suite draws random
 Schwartz-class elements, evaluates the two sides, and records ratios; for
 statements whose sharp constant is unknown the suite reports the fitted
 (max observed) constant and checks cross-batch stability rather than a
@@ -40,6 +40,7 @@ __all__ = [
     "run_case",
     "run_suite",
     "estimate_norm_ratio",
+    "heat_decay_ratios",
     "fit_decay_slope",
     "sobolev_scale_sweep",
     "derive_seed",
@@ -163,7 +164,7 @@ class MoyalBackend:
         return RandomElement(symbol=gx, payload=out, spec=el.spec)
 
     def heat(self, el: RandomElement, t: float) -> RandomElement:
-        return self.apply(heat_symbol(t, self.dim), el)
+        return self.apply(heat_symbol(t), el)
 
     def sobolev_norm(self, el: RandomElement, p: float, s: float) -> float:
         return calculus.sobolev_norm(el.payload, p, s, self.half_width, self.n)
@@ -337,7 +338,7 @@ def _r8_admissible(backend, params):
 # R9/R10 ----------------------------------------------------------------------
 
 def _heat_mult(backend, params) -> MultiplierSymbol:
-    return heat_symbol(params.get("t0", 1.0), backend.dim)
+    return heat_symbol(params.get("t0", 1.0))
 
 
 def _r9(backend, params, els):
@@ -358,11 +359,8 @@ def _pq_admissible(backend, params):
 
 def _r10(backend, params, els):
     p, q = params["p"], params["q"]
-    probe = backend.heat_probe()
-    base = backend.norm(probe, p)
     ts = np.geomspace(params.get("tmin", 0.5), params.get("tmax", 20.0), int(params.get("npts", 10)))
-    samples = [(t, backend.norm(backend.heat(probe, t), q) / base) for t in ts]
-    slope = fit_decay_slope(samples)
+    slope = fit_decay_slope(heat_decay_ratios(backend, backend.heat_probe(), p, q, ts))
     gamma = (backend.dim / 2.0) * (1.0 / p - 1.0 / q)
     return slope, -gamma
 
@@ -580,7 +578,8 @@ def run_case(backend, tid: str, params: dict, seed: int) -> TheoremCase:
     try:
         lhs, rhs = entry.compute_fn(backend, params, els)
     except _TRIAL_ERRORS as exc:
-        return TheoremCase(tid, params, math.nan, math.nan, math.nan, False, seed, spec, reason=type(exc).__name__)
+        reason = f"{type(exc).__name__}: {exc}"
+        return TheoremCase(tid, params, math.nan, math.nan, math.nan, False, seed, spec, reason=reason)
     if entry.mode == "slope":
         gamma = -rhs
         tol = 0.1 if backend.dim == 2 else 0.05
@@ -672,6 +671,14 @@ def estimate_norm_ratio(backend, g: MultiplierSymbol, p: float, q: float, n_tria
         x = backend.sample_element(derive_seed(seed, "norm_ratio", i))
         best = max(best, backend.norm(backend.apply(g, x), q) / backend.norm(x, p))
     return best
+
+
+def heat_decay_ratios(
+    backend, probe: RandomElement, p: float, q: float, ts: Sequence[float]
+) -> list[tuple[float, float]]:
+    """(t, ||e^{t Lap} probe||_q / ||probe||_p) at each heat time t."""
+    base = backend.norm(probe, p)
+    return [(t, backend.norm(backend.heat(probe, t), q) / base) for t in ts]
 
 
 def fit_decay_slope(samples: Sequence[tuple[float, float]]) -> float:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import symbols
-from .calculus import MultiplierSymbol, bessel_symbol, heat_symbol
+from .calculus import MULTIPLIER_GATE, MultiplierSymbol, bessel_symbol, evaluate_multiplier, heat_symbol
 from .errors import BoundaryDecayError, GridMismatchError
 from .harness import RandomElement
 from .spectra import SingularValueProfile, schatten_norm
@@ -103,26 +103,16 @@ class ClassicalBackend:
 
     def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
         xhat = self.fourier(el)
-        if xhat.boundary_decay() >= 1e-8:
+        if xhat.boundary_decay() >= MULTIPLIER_GATE:
             raise BoundaryDecayError("transform not captured by the grid")
-        gvals = np.asarray(g.evaluator(*symbols.grid_meshes(xhat)), dtype=complex)
-        return self.element_from_symbol(xhat.with_samples(gvals * xhat.samples), el.spec)
+        gvals = evaluate_multiplier(g, xhat)
+        return self.element_from_symbol(xhat.with_samples(gvals.samples * xhat.samples), el.spec)
 
     def heat(self, el: RandomElement, t: float) -> RandomElement:
-        return self.apply(heat_symbol(t, self.dim), el)
+        return self.apply(heat_symbol(t), el)
 
     def sobolev_norm(self, el: RandomElement, p: float, s: float) -> float:
-        return self.norm(self.apply(bessel_symbol(s, self.dim), el), p)
-
-    def wm_norm(self, el: RandomElement, p: float, m: int) -> float:
-        total = 0.0
-        for order in range(m + 1):
-            if order == 0:
-                total += self.norm(el, p)
-            else:
-                mono = MultiplierSymbol(f"d^{order}", lambda xi, k=order: (1j * xi) ** k)
-                total += self.norm(self.apply(mono, el), p)
-        return total
+        return self.norm(self.apply(bessel_symbol(s), el), p)
 
     def fourier_grid(self) -> SymbolGrid:
         if self._fgrid is None:

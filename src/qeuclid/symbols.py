@@ -2,8 +2,8 @@
 
 Everything here is commutative: midpoint-sampled complex functions with
 uniform quadrature weights, their Fourier transforms, Lebesgue and Lorentz
-norms, decreasing rearrangements, and the superlevel-set functionals that
-control multiplier boundedness.
+norms, decreasing rearrangements, and the level-set constants that control
+multiplier boundedness.
 
 Conventions:
   * grids are midpoint grids, nodes s_k = -L + (k + 1/2) * (2L/n), no node
@@ -30,8 +30,6 @@ __all__ = [
     "rearrangement",
     "lorentz_norm",
     "lorentz_step_norm",
-    "superlevel_measure",
-    "threshold_grid",
     "paley_weight_constant",
     "hormander_constant",
 ]
@@ -268,7 +266,8 @@ def lorentz_step_norm(levels: np.ndarray, weight: float, p: float, q: float) -> 
 
     mu(t) = levels[j] on [j*weight, (j+1)*weight); the integral
     (int (t^{1/p} mu(t))^q dt/t)^{1/q} is evaluated cell-by-cell in closed
-    form, the q = inf branch takes the sup over both cell endpoints.
+    form.  mu is constant on each cell, so the q = inf sup sits at a right
+    cell endpoint.
     """
     levels = np.asarray(levels, dtype=float)
     if p <= 0 or q <= 0:
@@ -281,9 +280,7 @@ def lorentz_step_norm(levels: np.ndarray, weight: float, p: float, q: float) -> 
     if np.isinf(q):
         if np.isinf(p):
             return float(levels[0])
-        left = edges[:-1] ** (1.0 / p) * levels
-        right = edges[1:] ** (1.0 / p) * levels
-        return float(max(left.max(), right.max()))
+        return float((edges[1:] ** (1.0 / p) * levels).max())
     if np.isinf(p):
         # int mu^q dt/t diverges at t=0 unless mu vanishes near 0
         return float("inf")
@@ -298,71 +295,31 @@ def lorentz_norm(f: SymbolGrid, p: float, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Superlevel functionals
+# Level-set constants
 # ---------------------------------------------------------------------------
+#
+# On (a_(k+1), a_(k)] the count |{|g| >= t}| is the constant k dV while
+# t m^gamma grows with t, so each sup sits at a sample level and equals the
+# weak Lorentz quasinorm ||g||_{1/gamma, inf}: computed exactly, not sampled.
 
 
-def superlevel_measure(g: SymbolGrid, t: float) -> float:
-    """Lebesgue measure of {|g| >= t} on the grid."""
-    if t <= 0:
-        raise ValueError("threshold must be positive")
-    return float(g.cell_volume * np.count_nonzero(np.abs(g.samples) >= t))
-
-
-def threshold_grid(g: SymbolGrid, points: int = 400, floor_ratio: float = 1e-3) -> np.ndarray:
-    """Log-uniform thresholds spanning [max|g| * floor_ratio, max|g|]."""
-    a = np.abs(g.samples)
-    top = float(a.max())
-    if top == 0.0:
-        return np.array([])
-    pos = a[a > 0]
-    lo = max(top * floor_ratio, float(pos.min()))
-    lo = min(lo, top)
-    return np.geomspace(lo, top, points)
-
-
-def paley_weight_constant(
-    h: SymbolGrid, t_grid: Optional[np.ndarray] = None
-) -> float:
-    """sup_t t |{h >= t}| over a threshold grid; h must be strictly positive."""
+def paley_weight_constant(h: SymbolGrid) -> float:
+    """sup_t t |{h >= t}| = ||h||_{1, inf}; h must be strictly positive."""
     vals = h.samples
     if np.any(np.abs(vals.imag) > 0):
         raise ValueError("weight must be real-valued")
     if np.any(vals.real <= _POSITIVITY_FLOOR):
         raise ValueError("weight must be strictly positive")
-    if t_grid is None:
-        t_grid = threshold_grid(h)
-    if len(t_grid) < 200:
-        raise ValueError("threshold grid needs at least 200 points")
-    best = 0.0
-    a = vals.real
-    dv = h.cell_volume
-    for t in t_grid:
-        best = max(best, t * dv * np.count_nonzero(a >= t))
-    return float(best)
+    return lorentz_norm(h, 1.0, np.inf)
 
 
-def hormander_constant(
-    g: SymbolGrid, p: float, q: float, t_grid: Optional[np.ndarray] = None
-) -> float:
-    """sup_t t |{|g| >= t}|^(1/p - 1/q) over a threshold grid.
+def hormander_constant(g: SymbolGrid, p: float, q: float) -> float:
+    """sup_t t |{|g| >= t}|^(1/p - 1/q) = ||g||_{r, inf}, 1/r = 1/p - 1/q.
 
-    Requires 1 < p <= 2 <= q < inf.  With p = q the exponent is zero and the
-    value is max|g| (empty superlevel sets contribute nothing).
+    Requires 1 < p <= 2 <= q < inf.  With p = q the exponent is zero, r is
+    infinite and the value is max|g|.
     """
     if not (1.0 < p <= 2.0 <= q < np.inf):
         raise ValueError(f"need 1 < p <= 2 <= q < inf, got p={p}, q={q}")
     gamma = 1.0 / p - 1.0 / q
-    a = np.abs(g.samples)
-    if a.max() == 0.0:
-        return 0.0
-    if t_grid is None:
-        t_grid = threshold_grid(g)
-    dv = g.cell_volume
-    best = 0.0
-    for t in t_grid:
-        m = dv * np.count_nonzero(a >= t)
-        if m <= 0.0:
-            continue
-        best = max(best, t * m**gamma)
-    return float(best)
+    return lorentz_norm(g, 1.0 / gamma if gamma > 0 else np.inf, np.inf)

@@ -237,19 +237,23 @@ def _trace_kernel(x: np.ndarray, N: int) -> np.ndarray:
 
 @functools.cache
 def _validate_trace_weight(h: float, N: int) -> None:
-    """Fail fast if c = h/(2pi) does not reproduce f(0) on a canonical Gaussian.
+    """Fail fast if c = trace_weight does not reproduce f(0) = 1.
 
-    Runs on a private grid wide enough in reciprocal space for the given
-    (h, N), so it tests the weight, not the caller's grid resolution.
+    The test symbol f(t) = exp(-h|t|^2/4) = exp(-|alpha|^2/2) quantizes to a
+    multiple of the vacuum projector, so tau_N(f) = 1 for every N >= 1: the
+    check measures the weight, not the Fock truncation.  It runs on a private
+    grid: f falls to e^-40 at its half-width sqrt(160/h), and in
+    alpha = sqrt(h/2) t the integrand exp(-|alpha|^2) L_{N-1}^(1)(|alpha|^2)
+    is band-limited to about 2 sqrt(N) + 10, which the step resolves.
     """
-    L = 8.0
-    need = np.sqrt(2.0 * h * N) + 10.0
-    n = int(np.ceil(need * L / np.pi / 16.0)) * 16
+    L = np.sqrt(160.0 / h)
+    alpha_extent = 2.0 * L * np.sqrt(h / 2.0)
+    n = int(np.ceil((2.0 * np.sqrt(N) + 10.0) * alpha_extent / np.pi / 16.0)) * 16
     s = axis_nodes(L, n)
     T1, T2 = np.meshgrid(s, s, indexing="ij")
-    f = np.exp(-(T1**2 + T2**2) / 2.0)
-    xarg = (h / 2.0) * (T1**2 + T2**2)
-    tau = h / (2.0 * np.pi) * np.sum(f * _trace_kernel(xarg, N)) * (2 * L / n) ** 2
+    r2 = T1**2 + T2**2
+    c = DeformationMatrix.canonical(h).trace_weight
+    tau = c * np.sum(np.exp(-h * r2 / 4.0) * _trace_kernel(h * r2 / 2.0, N)) * (2 * L / n) ** 2
     if abs(tau - 1.0) > TRACE_WEIGHT_TOL:
         raise RuntimeError(
             f"trace weight validation failed for h={h}, N={N}: "

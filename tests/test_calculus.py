@@ -7,7 +7,6 @@ from qeuclid.calculus import (
     bessel_potential,
     bessel_symbol,
     constant_symbol,
-    disc_indicator,
     evaluate_multiplier,
     heat_flow,
     heat_symbol,
@@ -21,7 +20,7 @@ from qeuclid.calculus import (
 )
 from qeuclid.errors import BoundaryDecayError
 from qeuclid.spectra import schatten_norm, singular_profile
-from qeuclid.symbols import SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm, superlevel_measure
+from qeuclid.symbols import SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm
 from qeuclid.weyl import dequantize, quantize
 
 L, NGRID, NFOCK = 8.0, 64, 64
@@ -272,7 +271,7 @@ def test_adjoint_defect_identity_symbol(x, y):
 
 
 # ---------------------------------------------------------------------------
-# multiplier registry and superlevel annotations
+# multiplier registry
 # ---------------------------------------------------------------------------
 
 
@@ -281,11 +280,3 @@ def test_make_multiplier_registry():
         make_multiplier(name, dim=2)
     with pytest.raises(ValueError):
         make_multiplier("mystery")
-
-
-def test_analytic_superlevel_matches_grid():
-    ref = SymbolGrid(2, 8.0, 512, np.zeros((512, 512)))
-    for g in (heat_symbol(1.0), bessel_symbol(-2.0), disc_indicator(1.0)):
-        vals = evaluate_multiplier(g, ref)
-        for u in (0.2, 0.5, 0.8):
-            assert superlevel_measure(vals, u) == pytest.approx(g.superlevel(u), rel=3e-2)

@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib
 import json
 import os
@@ -7,7 +8,8 @@ import signal
 import subprocess
 import sys
 
-from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main
+from qeuclid import harness
+from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main, make_backend
 
 
 def small_config(out_dir, trials=4, suites=("R2", "R15"), backend="moyal"):
@@ -55,6 +57,20 @@ def test_verify_small_config_exit_zero(tmp_path):
     summary = json.loads((tmp_path / "out" / "summaries.json").read_text())
     assert set(summary["suites"]) == {"R2", "R15"}
     assert all(s["failures"] == 0 for s in summary["suites"].values())
+
+
+def test_cases_csv_parses_with_csv_module(tmp_path):
+    cfg = small_config(tmp_path / "out", trials=3, suites=("R2", "R9"))
+    assert cmd_verify(cfg) == 0
+    with open(tmp_path / "out" / "cases.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(reader.fieldnames) == 10 and len(rows) == 6
+    backend = make_backend(cfg)
+    for row in rows:
+        assert None not in row and all(v is not None for v in row.values())
+        grid = harness.default_params(row["theorem"], backend)
+        assert json.loads(row["params"]) == grid[int(row["trial"]) % len(grid)]
 
 
 def test_verify_empty_suites(tmp_path):

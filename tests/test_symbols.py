@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qeuclid.symbols import (
     SymbolGrid,
@@ -12,8 +13,6 @@ from qeuclid.symbols import (
     paley_weight_constant,
     rearrangement,
     sample_symbol,
-    superlevel_measure,
-    threshold_grid,
 )
 
 
@@ -237,33 +236,49 @@ def test_lorentz_step_norm_rank_one():
 
 
 # ---------------------------------------------------------------------------
-# superlevel functionals
+# level-set constants
 # ---------------------------------------------------------------------------
 
 
+def _brute_force_sup(g, gamma):
+    """max over every sample threshold t of t |{|g| >= t}|^gamma."""
+    a = np.abs(g.samples).ravel()
+    return max(t * (g.cell_volume * np.count_nonzero(a >= t)) ** gamma for t in a if t > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(float, st.integers(1, 40), elements=st.floats(0.0, 1e3)),
+    st.floats(0.1, 10.0),
+    st.floats(1.01, 2.0),
+    st.floats(2.0, 20.0),
+)
+def test_level_set_constants_are_exact_sups(samples, half_width, p, q):
+    g = SymbolGrid(1, half_width, samples.size, samples)
+    gamma = 1 / p - 1 / q
+    if np.any(samples > 0):
+        assert hormander_constant(g, p, q) == pytest.approx(_brute_force_sup(g, gamma), rel=1e-13)
+    else:
+        assert hormander_constant(g, p, q) == 0.0
+    r = 1 / gamma if gamma > 0 else np.inf
+    assert hormander_constant(g, p, q) == pytest.approx(lorentz_norm(g, r, np.inf), rel=1e-13)
+    h = g.with_samples(samples + 1e-3)
+    assert paley_weight_constant(h) == pytest.approx(_brute_force_sup(h, 1.0), rel=1e-13)
+
+
 def test_superlevel_constant_function():
+    # |{1 >= t}| = (2L)^2 for t <= 1 and 0 above
     f = SymbolGrid(2, 4.0, 32, np.ones((32, 32)))
-    assert superlevel_measure(f, 0.5) == pytest.approx(64.0)  # (2L)^2
-    assert superlevel_measure(f, 2.0) == 0.0
+    assert paley_weight_constant(f) == pytest.approx(64.0, rel=1e-13)
+    assert hormander_constant(f, 1.5, 3.0) == pytest.approx(64.0 ** (1 / 1.5 - 1 / 3.0), rel=1e-13)
     with pytest.raises(ValueError):
-        superlevel_measure(f, 0.0)
+        paley_weight_constant(f.with_samples(np.zeros((32, 32))))
 
 
 def test_superlevel_heat_disc_area():
     g = sample_symbol("heat", {"t": 1.0}, 6.0, 256, dim=2)
-    assert superlevel_measure(g, np.exp(-1.0)) == pytest.approx(np.pi, rel=2e-2)
-
-
-def test_superlevel_monotone_and_flat_between_levels():
-    g = gaussian2(n=32)
-    ts = np.linspace(0.05, 1.0, 60)
-    vals = [superlevel_measure(g, t) for t in ts]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    levels = np.sort(np.abs(g.samples).ravel())
-    mid = 0.5 * (levels[100] + levels[101])
-    if levels[101] > levels[100]:
-        for t in np.linspace(levels[100] + 1e-12, levels[101], 5):
-            assert superlevel_measure(g, t) == superlevel_measure(g, mid)
+    area = g.cell_volume * np.count_nonzero(rearrangement(g) >= np.exp(-1.0))
+    assert area == pytest.approx(np.pi, rel=2e-2)
 
 
 def test_paley_weight_harmonic_decay():
@@ -328,12 +343,6 @@ def test_hormander_invariance_under_modulus_and_refinement():
     assert hormander_constant(g2, 1.5, 3.0) == pytest.approx(a, rel=1e-9)
     g3 = sample_symbol("gaussian", {"a": 0.5, "wave": (1.0, 0.0)}, 8.0, 256, dim=2)
     assert hormander_constant(g3, 1.5, 3.0) == pytest.approx(a, rel=2e-2)
-
-
-def test_threshold_grid_spans_sample_range():
-    g = gaussian2(n=32)
-    tg = threshold_grid(g)
-    assert len(tg) == 400 and tg[-1] == pytest.approx(np.abs(g.samples).max())
 
 
 def test_lorentz_gaussian_closed_form():

@@ -286,8 +286,7 @@ def _rel(got, ref):
 def test_grid_stack_matches_direct_sums(n, N, h, L, seed):
     # quantize / dequantize read a two-entry cache of mirrored displacement
     # stacks; compare them with per-node displacement_matrix sums on three
-    # windows in a row and the first again, so one stack is evicted and rebuilt.
-    # The trace-weight check is off: at these Fock sizes it rejects h = 0.5.
+    # windows in a row and the first again, so one stack is evicted and rebuilt
     theta = DeformationMatrix.canonical(h)
     c = theta.trace_weight
     rng = np.random.default_rng(seed)
@@ -296,9 +295,19 @@ def test_grid_stack_matches_direct_sums(n, N, h, L, seed):
         U = [[displacement_matrix(theta, (s[i], s[j]), N) for j in range(m)] for i in range(m)]
         f = SymbolGrid(2, L, m, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
         x = QuantizedOperator(N, rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta, c)
-        with mock.patch.object(weyl, "_validate_trace_weight", lambda h, N: None):
-            got = quantize(f, theta, N, boundary_gate=None).matrix
+        got = quantize(f, theta, N, boundary_gate=None).matrix
         ref = sum(f.samples[i, j] * U[i][j] for i in range(m) for j in range(m)) * f.cell_volume
         assert _rel(got, ref) <= 1e-13
         ref = np.array([[c * np.sum(x.matrix * np.conj(U[i][j])) for j in range(m)] for i in range(m)])
         assert _rel(dequantize(x, L, m).samples, ref) <= 1e-13
+
+
+def test_trace_weight_check_small_fock_dims():
+    # the check's own Gaussian is exact at every Fock size, so only a wrong
+    # weight makes it fail
+    wrong = property(lambda self: self.h / np.pi)
+    for N in range(2, 13):
+        weyl._validate_trace_weight.__wrapped__(0.5, N)
+        with mock.patch.object(DeformationMatrix, "trace_weight", wrong):
+            with pytest.raises(RuntimeError, match="trace weight validation failed"):
+                weyl._validate_trace_weight.__wrapped__(0.5, N)
