@@ -5,7 +5,7 @@ and singular-value norms, act with Fourier multipliers, and stress-test
 the norm inequalities that tie the two sides together.
 """
 
-from .errors import BoundaryDecayError, FactorizationError, GridMismatchError
+from .errors import BoundaryDecayError, DomainError, FactorizationError, GridMismatchError
 from .symbols import (
     SymbolGrid,
     classical_fourier,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BoundaryDecayError
+from .errors import BoundaryDecayError, DomainError
 from .spectra import schatten_norm, singular_profile
 from .symbols import SymbolGrid, _radius_sq, grid_meshes
 from .weyl import QuantizedOperator, dequantize, quantize
@@ -116,7 +116,7 @@ def make_multiplier(name: str, params: Optional[dict] = None, dim: int = 2) -> M
 def evaluate_multiplier(g: MultiplierSymbol, grid: SymbolGrid) -> SymbolGrid:
     vals = np.asarray(g.evaluator(*grid_meshes(grid)), dtype=complex)
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"multiplier {g.label} is not finite on the working grid")
+        raise DomainError(f"multiplier {g.label} is not finite on the working grid")
     return grid.with_samples(np.broadcast_to(vals, grid.samples.shape).copy())
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calculus, spectra, symbols
 from .calculus import MultiplierSymbol, heat_symbol
-from .errors import BoundaryDecayError, FactorizationError
+from .errors import BoundaryDecayError, DomainError, FactorizationError
 from .spectra import SingularValueProfile
 from .symbols import SymbolGrid, lebesgue_norm, lorentz_norm
 from .weyl import DeformationMatrix, dequantize, quantize
@@ -357,9 +357,29 @@ def _pq_admissible(backend, params):
         raise ValueError(f"need 1 < p <= 2 <= q < inf, got p={p}, q={q}")
 
 
+def _heat_admissible(backend, params):
+    _pq_admissible(backend, params)
+    _heat_mult(backend, params)  # refuses a negative heat time
+
+
+def _heat_times(params) -> tuple[float, float, int]:
+    return params.get("tmin", 0.5), params.get("tmax", 20.0), int(params.get("npts", 10))
+
+
+def _r10_admissible(backend, params):
+    # the same bounds fit_decay_slope enforces, checked before any heat flow
+    _pq_admissible(backend, params)
+    tmin, tmax, npts = _heat_times(params)
+    if not (npts >= 5 and 0 < tmin < tmax < math.inf and tmax / tmin >= 10**1.5):
+        raise ValueError(
+            f"need npts >= 5 heat times with 0 < tmin and tmax/tmin >= 10^1.5, "
+            f"got tmin={tmin}, tmax={tmax}, npts={npts}"
+        )
+
+
 def _r10(backend, params, els):
     p, q = params["p"], params["q"]
-    ts = np.geomspace(params.get("tmin", 0.5), params.get("tmax", 20.0), int(params.get("npts", 10)))
+    ts = np.geomspace(*_heat_times(params))
     slope = fit_decay_slope(heat_decay_ratios(backend, backend.heat_probe(), p, q, ts))
     gamma = (backend.dim / 2.0) * (1.0 / p - 1.0 / q)
     return slope, -gamma
@@ -420,6 +440,12 @@ def _r15(backend, params, els):
     return lhs, rhs
 
 
+def _r15_admissible(backend, params):
+    p, r, q = params["p"], params["r"], params["q"]
+    if not (1 <= p <= r <= q < math.inf and p < q):
+        raise ValueError(f"need 1 <= p <= r <= q < inf with p < q, got p={p}, r={r}, q={q}")
+
+
 def _r16(backend, params, els):
     (x,) = els
     p, q = params["p"], params["q"]
@@ -431,6 +457,12 @@ def _r16(backend, params, els):
     lhs = math.exp(ent)
     rhs = (nq / np_) ** (p * q / (q - p))
     return lhs, rhs
+
+
+def _r16_admissible(backend, params):
+    p, q = params["p"], params["q"]
+    if not (1 <= p < q < math.inf):
+        raise ValueError(f"need 1 <= p < q < inf, got p={p}, q={q}")
 
 
 # R17/R18 ----------------------------------------------------------------------
@@ -470,25 +502,46 @@ def _p_grid(*values):
     return lambda backend: [{"p": v} for v in values]
 
 
+def _p_range(lo, hi):
+    """Gate on a suite's exponent: lo <= p <= hi, p finite."""
+
+    def admissible(backend, params):
+        p = params["p"]
+        if not (lo <= p <= hi and math.isfinite(p)):
+            raise ValueError(f"need {lo:g} <= p <= {hi:g} with p finite, got p={p}")
+
+    return admissible
+
+
 def _thr(backend, p, q):
     return backend.dim * (1.0 / p - 1.0 / q)
 
 
 REGISTRY: dict[str, TheoremEntry] = {
     "R1": TheoremEntry("R1", "transform pairing identity", "equality", 1e-4, 2, lambda b: [{}], _r1),
-    "R2": TheoremEntry("R2", "transform p' bound", "one", 1e-3, 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2),
-    "R3": TheoremEntry("R3", "quantization p' bound", "one", 1e-3, 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3),
-    "R4": TheoremEntry("R4", "reverse transform bound", "one", 1e-3, 1, _p_grid(2.0, 3.0, 4.0), _r4),
-    "R5": TheoremEntry("R5", "weighted transform bound", "empirical", 1e-6, 1, _p_grid(4.0 / 3.0, 1.5, 2.0), _r5),
+    "R2": TheoremEntry(
+        "R2", "transform p' bound", "one", 1e-3, 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2, _p_range(1, 2)
+    ),
+    "R3": TheoremEntry(
+        "R3", "quantization p' bound", "one", 1e-3, 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3, _p_range(1, 2)
+    ),
+    "R4": TheoremEntry(
+        "R4", "reverse transform bound", "one", 1e-3, 1, _p_grid(2.0, 3.0, 4.0), _r4, _p_range(2, math.inf)
+    ),
+    "R5": TheoremEntry(
+        "R5", "weighted transform bound", "empirical", 1e-6, 1, _p_grid(4.0 / 3.0, 1.5, 2.0), _r5, _p_range(1, 2)
+    ),
     "R6": TheoremEntry(
         "R6", "polynomial-weight transform bound", "empirical", 1e-6, 1,
         lambda b: [{"p": p, "beta": bta} for p in (4.0 / 3.0, 2.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r6,
+        _p_range(1, 2),
     ),
     "R7": TheoremEntry(
         "R7", "inverse polynomial-weight bound", "empirical", 1e-6, 1,
         lambda b: [{"p": p, "beta": bta} for p in (2.0, 3.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r7,
+        _p_range(2, math.inf),
     ),
     "R8": TheoremEntry(
         "R8", "interpolated weighted bound", "empirical", 1e-6, 1,
@@ -500,21 +553,25 @@ REGISTRY: dict[str, TheoremEntry] = {
         "R9", "multiplier norm bound", "empirical", 1e-6, 1,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "t0": 1.0}, {"p": 2.0, "q": 4.0, "t0": 1.0}],
         _r9,
-        _pq_admissible,
+        _heat_admissible,
     ),
     "R10": TheoremEntry(
         "R10", "heat decay slope", "slope", 0.0, 0,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "tmin": 0.5, "tmax": 20.0, "npts": 10}],
         _r10,
-        _pq_admissible,
+        _r10_admissible,
     ),
-    "R11": TheoremEntry("R11", "Lorentz quantization bound", "empirical", 1e-6, 1, _p_grid(4.0 / 3.0, 2.0), _r11),
-    "R12": TheoremEntry("R12", "Lorentz transform bound", "one", 1e-3, 1, _p_grid(4.0 / 3.0, 2.0), _r12),
+    "R11": TheoremEntry(
+        "R11", "Lorentz quantization bound", "empirical", 1e-6, 1, _p_grid(4.0 / 3.0, 2.0), _r11, _p_range(1, 2)
+    ),
+    "R12": TheoremEntry(
+        "R12", "Lorentz transform bound", "one", 1e-3, 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)
+    ),
     "R13": TheoremEntry(
         "R13", "weak-norm multiplier bound", "empirical", 1e-6, 1,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "t0": 1.0}],
         _r13,
-        _pq_admissible,
+        _heat_admissible,
     ),
     "R14": TheoremEntry(
         "R14", "fractional embedding", "empirical", 1e-6, 1,
@@ -530,11 +587,13 @@ REGISTRY: dict[str, TheoremEntry] = {
         "R15", "norm interpolation", "one", 1e-3, 1,
         lambda b: [{"p": 1.0, "r": 4.0 / 3.0, "q": 2.0}, {"p": 4.0 / 3.0, "r": 2.0, "q": 4.0}, {"p": 2.0, "r": 3.0, "q": 6.0}],
         _r15,
+        _r15_admissible,
     ),
     "R16": TheoremEntry(
         "R16", "entropy bound", "one", 1e-3, 1,
         lambda b: [{"p": 1.0, "q": 2.0}, {"p": 4.0 / 3.0, "q": 3.0}, {"p": 2.0, "q": 4.0}],
         _r16,
+        _r16_admissible,
     ),
     "R17": TheoremEntry(
         "R17", "entropy-smoothness bound", "empirical", 1e-6, 1,
@@ -558,7 +617,7 @@ def default_params(tid: str, backend) -> list[dict]:
 # Running cases and suites
 # ---------------------------------------------------------------------------
 
-_TRIAL_ERRORS = (ValueError, BoundaryDecayError, FactorizationError, FloatingPointError, ZeroDivisionError)
+_TRIAL_ERRORS = (DomainError, BoundaryDecayError, FactorizationError, FloatingPointError, ZeroDivisionError)
 
 
 def run_case(backend, tid: str, params: dict, seed: int) -> TheoremCase:
@@ -687,8 +746,11 @@ def fit_decay_slope(samples: Sequence[tuple[float, float]]) -> float:
         raise ValueError("need at least 5 samples")
     ts = np.array([s[0] for s in samples], dtype=float)
     vs = np.array([s[1] for s in samples], dtype=float)
-    if np.any(vs <= 0) or np.any(ts <= 0):
-        raise ValueError("samples must be positive")
+    if np.any(ts <= 0):
+        raise ValueError("heat times must be positive")
+    if np.any(vs <= 0):
+        # a decay ratio that underflowed: the data, not the caller, is at fault
+        raise DomainError("decay ratios must be positive")
     if ts.max() / ts.min() < 10**1.5:
         raise ValueError("t range must span at least 1.5 decades")
     return float(np.polyfit(np.log(ts), np.log(vs), 1)[0])

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FactorizationError
+from .errors import DomainError, FactorizationError
 from .symbols import lorentz_step_norm
 from .weyl import QuantizedOperator
 
@@ -84,7 +84,7 @@ def spectral_trace(profile: SingularValueProfile, phi: Callable[[np.ndarray], np
     """c * sum_k phi(sigma_k); phi must be finite on the spectrum."""
     vals = np.asarray(phi(profile.sigmas), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("phi is undefined (non-finite) at some singular value")
+        raise DomainError("phi is undefined (non-finite) at some singular value")
     return float(profile.weight * vals.sum())
 
 
@@ -93,7 +93,7 @@ def entropy_term(profile: SingularValueProfile, p: float) -> float:
     sig = profile.sigmas
     mass = profile.weight * np.sum(sig**p)
     if mass <= 0:
-        raise ValueError("zero operator has no normalized entropy")
+        raise DomainError("zero operator has no normalized entropy")
     u = sig**p / mass
     pos = u > 0
     return float(profile.weight * np.sum(u[pos] * np.log(u[pos])))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qeuclid.calculus import (
+    MultiplierSymbol,
     adjoint_defect,
     apply_multiplier,
     bessel_potential,
@@ -18,7 +19,7 @@ from qeuclid.calculus import (
     translation_symbol,
     wm_norm,
 )
-from qeuclid.errors import BoundaryDecayError
+from qeuclid.errors import BoundaryDecayError, DomainError
 from qeuclid.spectra import schatten_norm, singular_profile
 from qeuclid.symbols import SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm
 from qeuclid.weyl import dequantize, quantize
@@ -77,6 +78,13 @@ def test_multiplier_composition(x):
 
     rhs = apply_multiplier(MultiplierSymbol("g1*g2", both), x, L, NGRID)
     assert op_dist(lhs, rhs) < 1e-4
+
+
+def test_nonfinite_multiplier_is_domain_error():
+    g = MultiplierSymbol("pole", lambda s1, s2: np.where(s1 > 0, np.inf, 1.0))
+    grid = SymbolGrid(2, 1.0, 2, np.ones((2, 2), dtype=complex))
+    with pytest.raises(DomainError, match="not finite"):
+        evaluate_multiplier(g, grid)
 
 
 def test_fourier_side_action(x):

@@ -8,6 +8,8 @@ import signal
 import subprocess
 import sys
 
+import pytest
+
 from qeuclid import harness
 from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main, make_backend
 
@@ -84,6 +86,31 @@ def test_verify_bad_parameter_exits_one(tmp_path, capsys):
     cfg.suites = [SuiteConfig("R17", 2, params_grid=[{"p": 1.5, "s": 5.0}])]
     assert cmd_verify(cfg) == 1
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tid, params",
+    [
+        ("R10", {"p": 4 / 3, "q": 4.0, "tmin": 0.5, "tmax": 20.0, "npts": 3}),
+        ("R10", {"p": 4 / 3, "q": 4.0, "tmin": 1.0, "tmax": 10.0, "npts": 10}),
+        ("R10", {"p": 4 / 3, "q": 4.0, "tmin": 0.0, "tmax": 20.0, "npts": 10}),
+        ("R9", {"p": 4 / 3, "q": 4.0, "t0": -1.0}),
+        ("R2", {"p": 0.5}),
+        ("R4", {"p": 1.5}),
+        ("R11", {"p": 0.5}),
+        ("R12", {"p": 3.0}),
+        ("R15", {"p": 2.0, "r": 2.0, "q": 2.0}),
+        ("R16", {"p": 2.0, "q": 2.0}),
+    ],
+)
+def test_verify_refuses_bad_parameters_up_front(tmp_path, capsys, tid, params):
+    # parameters a suite cannot compute are a configuration error, found
+    # before any trial runs, not a traceback from inside one
+    cfg = small_config(tmp_path / "out")
+    cfg.suites = [SuiteConfig(tid, 2, params_grid=[params])]
+    assert cmd_verify(cfg) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_unknown_theorem_exits_one(tmp_path):

@@ -19,6 +19,7 @@ from qeuclid.harness import (
 )
 from qeuclid import calculus
 from qeuclid.calculus import constant_symbol, heat_symbol
+from qeuclid.errors import DomainError
 
 
 def scaled_element(backend, el, lam):
@@ -182,14 +183,26 @@ def test_failure_policy_counts_and_continues(small_backend, monkeypatch):
     def flaky(backend, params, els):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
-            raise ValueError("synthetic numeric failure")
+            raise DomainError("synthetic numeric failure")
         return orig(backend, params, els)
 
     monkeypatch.setitem(REGISTRY, "R2", dataclasses.replace(entry, compute_fn=flaky))
     cases, summary = run_suite(small_backend, "R2", 9, 5)
     assert summary.failures == 3
-    assert sum(1 for c in cases if c.reason == "ValueError: synthetic numeric failure") == 3
+    assert sum(1 for c in cases if c.reason == "DomainError: synthetic numeric failure") == 3
     assert all(math.isfinite(c.ratio) for c in cases if c.reason == "")
+
+
+def test_plain_value_error_propagates(small_backend, monkeypatch):
+    # a ValueError that is not a domain failure is a bug, not a failed trial
+    import dataclasses
+
+    def buggy(backend, params, els):
+        raise ValueError("bug")
+
+    monkeypatch.setitem(REGISTRY, "R2", dataclasses.replace(REGISTRY["R2"], compute_fn=buggy))
+    with pytest.raises(ValueError, match="bug"):
+        run_case(small_backend, "R2", {"p": 1.5}, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +238,7 @@ def test_fit_decay_slope_rejects_bad_input():
     ts = np.geomspace(1, 2, 8)  # only 0.3 decades
     with pytest.raises(ValueError):
         fit_decay_slope([(t, 1 / t) for t in ts])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         fit_decay_slope([(t, -1.0) for t in np.geomspace(0.1, 50, 8)])
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qeuclid.errors import DomainError
 from qeuclid.spectra import (
     SingularValueProfile,
     distribution_function,
@@ -207,8 +208,13 @@ def test_spectral_trace_rejects_nonfinite(theta):
         with np.errstate(divide="ignore"):
             return np.log(u)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         spectral_trace(prof, bare_log)
+
+
+def test_zero_operator_entropy_is_domain_error():
+    with pytest.raises(DomainError, match="zero operator"):
+        entropy_term(SingularValueProfile(np.zeros(3), 0.5), 1.5)
 
 
 def test_entropy_flat_spectrum_closed_form(theta):

@@ -283,10 +283,11 @@ def _rel(got, ref):
     L=st.sampled_from([2.0, 4.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_grid_stack_matches_direct_sums(n, N, h, L, seed):
-    # quantize / dequantize read a two-entry cache of mirrored displacement
-    # stacks; compare them with per-node displacement_matrix sums on three
-    # windows in a row and the first again, so one stack is evicted and rebuilt
+def test_radial_tables_match_direct_sums(n, N, h, L, seed):
+    # quantize / dequantize read a two-entry cache of radial-angular tables;
+    # compare them with per-node displacement_matrix sums on three windows in
+    # a row and the first again, so one window's tables are evicted and
+    # rebuilt.  Each walk has an odd n, whose centre node sits at r = 0.
     theta = DeformationMatrix.canonical(h)
     c = theta.trace_weight
     rng = np.random.default_rng(seed)
@@ -300,6 +301,45 @@ def test_grid_stack_matches_direct_sums(n, N, h, L, seed):
         assert _rel(got, ref) <= 1e-13
         ref = np.array([[c * np.sum(x.matrix * np.conj(U[i][j])) for j in range(m)] for i in range(m)])
         assert _rel(dequantize(x, L, m).samples, ref) <= 1e-13
+        # the same matrix as a strided view, which QuantizedOperator keeps
+        xs = QuantizedOperator(N, np.repeat(x.matrix, 2, axis=1)[:, ::2], theta, c)
+        assert not xs.matrix.flags.c_contiguous
+        assert np.array_equal(dequantize(xs, L, m).samples, dequantize(x, L, m).samples)
+
+
+@pytest.mark.parametrize("n, radii", [(64, 398), (96, 854)])
+def test_radius_groups(n, radii):
+    # the integer key (2i-n+1)^2 + (2j-n+1)^2 groups the nodes by |alpha|
+    theta = DeformationMatrix.canonical(1.0)
+    tab = weyl._radial_tables(theta.h, 8.0, n, 2)
+    assert tab.radii.size == radii
+    assert np.all(np.diff(tab.radii) > 0)
+    # axis_nodes rounds at ulp(L) near the centre; (L/n)(2i-n+1) rounds relatively
+    s = (8.0 / n) * (2 * np.arange(n) - n + 1)
+    assert np.abs(s - axis_nodes(8.0, n)).max() <= 4 * np.spacing(8.0)
+    alphas = np.array([abs(theta.alpha((s[i], s[j]))) for i in range(n) for j in range(n)])
+    per_node = np.repeat(tab.radii, np.diff(tab.indptr))
+    assert np.all(np.abs(alphas[tab.order] - per_node) <= 1e-15 * per_node)
+
+
+def test_large_window_matches_direct_sums():
+    # (N, n) = (128, 128): a dense displacement stack would take 4.3 GB
+    N, n, L = 128, 128, 8.0
+    theta = DeformationMatrix.canonical(1.0)
+    c = theta.trace_weight
+    rng = np.random.default_rng(11)
+    s = axis_nodes(L, n)
+    picks = {tuple(int(v) for v in rng.integers(0, n, size=2)) for _ in range(6)}
+    U = {p: displacement_matrix(theta, (s[p[0]], s[p[1]]), N) for p in picks}
+    vals = np.zeros((n, n), dtype=complex)
+    for p in picks:
+        vals[p] = complex(*rng.normal(size=2))
+    f = SymbolGrid(2, L, n, vals)
+    ref = sum(vals[p] * U[p] for p in picks) * f.cell_volume
+    assert _rel(quantize(f, theta, N, boundary_gate=None).matrix, ref) <= 1e-13
+    x = QuantizedOperator(N, rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta, c)
+    got = dequantize(x, L, n).samples
+    assert _rel(np.array([got[p] for p in picks]), np.array([c * np.sum(x.matrix * np.conj(U[p])) for p in picks])) <= 1e-13
 
 
 def test_trace_weight_check_small_fock_dims():
