@@ -33,16 +33,7 @@ from .spectra import (
     singular_profile,
     spectral_trace,
 )
-from .calculus import (
-    MultiplierSymbol,
-    apply_multiplier,
-    bessel_potential,
-    heat_flow,
-    partial_derivative,
-    sobolev_norm,
-    translate,
-    wm_norm,
-)
+from .calculus import MultiplierSymbol, apply_multiplier
 from .harness import (
     MoyalBackend,
     RatioSummary,

@@ -103,7 +103,11 @@ class RunConfig:
             grid = s.params_grid if s.params_grid is not None else entry.params_fn(backend)
             if entry.admissible_fn is not None:
                 for params in grid:
-                    entry.admissible_fn(backend, params)
+                    try:
+                        entry.admissible_fn(backend, params)
+                    except (KeyError, ValueError) as exc:
+                        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                        raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
 
 
 def make_backend(cfg: RunConfig):

@@ -1,8 +1,8 @@
 """Randomized verification of the inequality catalogue.
 
-Eighteen registered statements (R1..R18) relate weighted-trace norms of a
-quantized element, classical norms of its Fourier transform, multiplier
-actions, and level-set constants.  Each suite draws random
+Seventeen registered statements (R1..R18, with R13 unassigned) relate
+weighted-trace norms of a quantized element, classical norms of its Fourier
+transform, multiplier actions, and level-set constants.  Each suite draws random
 Schwartz-class elements, evaluates the two sides, and records ratios; for
 statements whose sharp constant is unknown the suite reports the fitted
 (max observed) constant and checks cross-batch stability rather than a
@@ -10,7 +10,10 @@ prescribed value.
 
 The verifier logic is backend-agnostic: the same registry runs against the
 Fock-truncated backend here and against the one-dimensional commutative
-backend in :mod:`qeuclid.oracle`.
+backend in :mod:`qeuclid.oracle`.  Both backends act with a multiplier through
+:func:`qeuclid.calculus.apply_multiplier` on their cached transform, so every
+multiplier the suites use (heat flow, Bessel potential, derivation) is one
+``backend.apply``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import calculus, spectra, symbols
-from .calculus import MultiplierSymbol, heat_symbol
+from .calculus import MultiplierSymbol, bessel_symbol, derivative_symbol, heat_symbol
 from .errors import BoundaryDecayError, DomainError, FactorizationError
 from .spectra import SingularValueProfile
 from .symbols import SymbolGrid, lebesgue_norm, lorentz_norm
@@ -42,6 +45,7 @@ __all__ = [
     "estimate_norm_ratio",
     "heat_decay_ratios",
     "fit_decay_slope",
+    "sobolev_norm",
     "sobolev_scale_sweep",
     "derive_seed",
     "conjugate_exponent",
@@ -157,20 +161,16 @@ class MoyalBackend:
         return spectra.schatten_norm(self.profile(el), p)
 
     def pair_trace(self, x: RandomElement, y: RandomElement) -> complex:
-        return calculus.pair_trace(x.payload, y.payload)
+        """tau(x y^*) = c sum_{mn} x_mn conj(y_mn)."""
+        a, b = x.payload, y.payload
+        a._check_compatible(b)
+        return complex(a.trace_weight * np.sum(a.matrix * np.conj(b.matrix)))
 
     def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
-        gx, out = calculus.multiply_transform(g, self.fourier(el), el.payload)
+        """g(D) x = quantize(g * x_hat) on the backend's Fourier grid."""
+        gx = calculus.apply_multiplier(g, self.fourier(el))
+        out = quantize(gx, self.theta, self.fock_dim, boundary_gate=None)
         return RandomElement(symbol=gx, payload=out, spec=el.spec)
-
-    def heat(self, el: RandomElement, t: float) -> RandomElement:
-        return self.apply(heat_symbol(t), el)
-
-    def sobolev_norm(self, el: RandomElement, p: float, s: float) -> float:
-        return calculus.sobolev_norm(el.payload, p, s, self.half_width, self.n)
-
-    def wm_norm(self, el: RandomElement, p: float, m: int) -> float:
-        return calculus.wm_norm(el.payload, p, m, self.half_width, self.n)
 
     def fourier_grid(self) -> SymbolGrid:
         if self._fgrid is None:
@@ -181,9 +181,7 @@ class MoyalBackend:
     def paley_weight(self) -> tuple[SymbolGrid, float]:
         """Strictly positive weight (1+|s|^2)^-1 and its level functional M_h."""
         if self._paley is None:
-            grid = symbols.sample_symbol(
-                "bessel", {"sigma": 2.0}, self.half_width, self.n, dim=2
-            )
+            grid = calculus.evaluate_multiplier(bessel_symbol(-2.0), self.fourier_grid())
             self._paley = (grid, symbols.paley_weight_constant(grid))
         return self._paley
 
@@ -385,7 +383,7 @@ def _r10(backend, params, els):
     return slope, -gamma
 
 
-# R11/R12/R13 ------------------------------------------------------------------
+# R11/R12 --------------------------------------------------------------------------
 
 def _r11(backend, params, els):
     (x,) = els
@@ -401,23 +399,12 @@ def _r12(backend, params, els):
     return lorentz_norm(backend.fourier(x), pp, p), backend.norm(x, p)
 
 
-def _r13(backend, params, els):
-    (x,) = els
-    p, q = params["p"], params["q"]
-    r = 1.0 / (1.0 / p - 1.0 / q)
-    g = _heat_mult(backend, params)
-    lhs = backend.norm(backend.apply(g, x), q)
-    gx = calculus.evaluate_multiplier(g, backend.fourier_grid())
-    rhs = lorentz_norm(gx, r, math.inf) * backend.norm(x, p)
-    return lhs, rhs
-
-
 # R14 --------------------------------------------------------------------------
 
 def _r14(backend, params, els):
     (x,) = els
     p, q, s = params["p"], params["q"], params["s"]
-    return backend.norm(x, q), backend.sobolev_norm(x, p, s)
+    return backend.norm(x, q), sobolev_norm(backend, x, p, s)
 
 
 def _r14_admissible(backend, params):
@@ -472,7 +459,7 @@ def _r17(backend, params, els):
     p, s = params["p"], params["s"]
     d = backend.dim
     ent = spectra.entropy_term(backend.profile(x), p)
-    ratio_norms = (backend.sobolev_norm(x, p, s) / backend.norm(x, p)) ** p
+    ratio_norms = (sobolev_norm(backend, x, p, s) / backend.norm(x, p)) ** p
     # exp((sp/d) * entropy) <= C * ||x||_{L^p_s}^p / ||x||_p^p ; the ratio is
     # the per-trial implied constant
     return math.exp(s * p / d * ent), ratio_norms
@@ -490,8 +477,12 @@ def _r17_admissible(backend, params):
 def _r18(backend, params, els):
     (x,) = els
     d = backend.dim
+    # ||x||_{W^{1,2}} = ||x||_2 + ||d2 x||_2 + ||d1 x||_2, summed in this order
+    w12 = backend.norm(x, 2.0)
+    for axis in (1, 0):
+        w12 += backend.norm(backend.apply(derivative_symbol(axis), x), 2.0)
     lhs = backend.norm(x, 2.0) ** (1.0 + 2.0 / d)
-    rhs = backend.wm_norm(x, 2.0, 1) * backend.norm(x, 1.0) ** (2.0 / d)
+    rhs = w12 * backend.norm(x, 1.0) ** (2.0 / d)
     return lhs, rhs
 
 
@@ -509,6 +500,18 @@ def _p_range(lo, hi):
         p = params["p"]
         if not (lo <= p <= hi and math.isfinite(p)):
             raise ValueError(f"need {lo:g} <= p <= {hi:g} with p finite, got p={p}")
+
+    return admissible
+
+
+def _weighted_p_range(lo, hi):
+    """Gate on R6/R7: lo <= p <= hi, p finite, and a finite weight order beta."""
+    p_gate = _p_range(lo, hi)
+
+    def admissible(backend, params):
+        p_gate(backend, params)
+        if not math.isfinite(params["beta"]):
+            raise ValueError(f"need a finite weight order beta, got beta={params['beta']}")
 
     return admissible
 
@@ -535,13 +538,13 @@ REGISTRY: dict[str, TheoremEntry] = {
         "R6", "polynomial-weight transform bound", "empirical", 1e-6, 1,
         lambda b: [{"p": p, "beta": bta} for p in (4.0 / 3.0, 2.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r6,
-        _p_range(1, 2),
+        _weighted_p_range(1, 2),
     ),
     "R7": TheoremEntry(
         "R7", "inverse polynomial-weight bound", "empirical", 1e-6, 1,
         lambda b: [{"p": p, "beta": bta} for p in (2.0, 3.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r7,
-        _p_range(2, math.inf),
+        _weighted_p_range(2, math.inf),
     ),
     "R8": TheoremEntry(
         "R8", "interpolated weighted bound", "empirical", 1e-6, 1,
@@ -566,12 +569,6 @@ REGISTRY: dict[str, TheoremEntry] = {
     ),
     "R12": TheoremEntry(
         "R12", "Lorentz transform bound", "one", 1e-3, 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)
-    ),
-    "R13": TheoremEntry(
-        "R13", "weak-norm multiplier bound", "empirical", 1e-6, 1,
-        lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "t0": 1.0}],
-        _r13,
-        _heat_admissible,
     ),
     "R14": TheoremEntry(
         "R14", "fractional embedding", "empirical", 1e-6, 1,
@@ -737,7 +734,7 @@ def heat_decay_ratios(
 ) -> list[tuple[float, float]]:
     """(t, ||e^{t Lap} probe||_q / ||probe||_p) at each heat time t."""
     base = backend.norm(probe, p)
-    return [(t, backend.norm(backend.heat(probe, t), q) / base) for t in ts]
+    return [(t, backend.norm(backend.apply(heat_symbol(t), probe), q) / base) for t in ts]
 
 
 def fit_decay_slope(samples: Sequence[tuple[float, float]]) -> float:
@@ -756,6 +753,11 @@ def fit_decay_slope(samples: Sequence[tuple[float, float]]) -> float:
     return float(np.polyfit(np.log(ts), np.log(vs), 1)[0])
 
 
+def sobolev_norm(backend, el: RandomElement, p: float, s: float) -> float:
+    """Bessel-potential Sobolev norm ||(1 - Lap)^{s/2} x||_p."""
+    return backend.norm(backend.apply(bessel_symbol(s), el), p)
+
+
 def sobolev_scale_sweep(
     backend, p: float, q: float, s: float, scales: Sequence[float], base_width: float = 0.5
 ) -> list[float]:
@@ -769,5 +771,5 @@ def sobolev_scale_sweep(
         a = 1.0 / (2.0 * (base_width * R) ** 2)
         f = symbols.sample_symbol("gaussian", {"a": a}, backend.half_width, backend.n, dim=backend.dim)
         el = backend.element_from_symbol(f, {"family": "scale_probe", "R": R})
-        out.append(backend.norm(el, q) / backend.sobolev_norm(el, p, s))
+        out.append(backend.norm(el, q) / sobolev_norm(backend, el, p, s))
     return out

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import symbols
-from .calculus import MULTIPLIER_GATE, MultiplierSymbol, bessel_symbol, evaluate_multiplier, heat_symbol
-from .errors import BoundaryDecayError, GridMismatchError
+from .calculus import MultiplierSymbol, apply_multiplier
+from .errors import GridMismatchError
 from .harness import RandomElement
 from .spectra import SingularValueProfile, schatten_norm
 from .symbols import SymbolGrid, classical_fourier, rearrangement
@@ -102,17 +102,7 @@ class ClassicalBackend:
         return complex(np.sum(F.samples * np.conj(G.samples)) * F.cell_volume / TWO_PI)
 
     def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
-        xhat = self.fourier(el)
-        if xhat.boundary_decay() >= MULTIPLIER_GATE:
-            raise BoundaryDecayError("transform not captured by the grid")
-        gvals = evaluate_multiplier(g, xhat)
-        return self.element_from_symbol(xhat.with_samples(gvals.samples * xhat.samples), el.spec)
-
-    def heat(self, el: RandomElement, t: float) -> RandomElement:
-        return self.apply(heat_symbol(t), el)
-
-    def sobolev_norm(self, el: RandomElement, p: float, s: float) -> float:
-        return self.norm(self.apply(bessel_symbol(s), el), p)
+        return self.element_from_symbol(apply_multiplier(g, self.fourier(el)), el.spec)
 
     def fourier_grid(self) -> SymbolGrid:
         if self._fgrid is None:

@@ -6,8 +6,8 @@ norms, decreasing rearrangements, and the level-set constants that control
 multiplier boundedness.
 
 Conventions:
-  * grids are midpoint grids, nodes s_k = -L + (k + 1/2) * (2L/n), no node
-    sits on the boundary;
+  * grids are midpoint grids, nodes s_k = (L/n) * (2k - n + 1), no node
+    sits on the boundary, and s_(n-1-k) = -s_k exactly;
   * the Fourier transform is the unnormalized integral
     (Ff)(t) = int f(s) exp(-i (t, s)) ds; the inverse kernel exp(+i (t, s))
     carries no (2pi)^-d division, callers apply it explicitly.
@@ -34,16 +34,12 @@ __all__ = [
     "hormander_constant",
 ]
 
-#: shipped grid defaults: (half_width, points_per_axis) keyed by dimension
-DEFAULT_GRID = {1: (64.0, 4096), 2: (8.0, 128)}
-
 _POSITIVITY_FLOOR = 1e-300
 
 
 def axis_nodes(half_width: float, n: int) -> np.ndarray:
-    """Midpoint nodes of one axis."""
-    step = 2.0 * half_width / n
-    return -half_width + (np.arange(n) + 0.5) * step
+    """Midpoint nodes of one axis, exactly symmetric about 0."""
+    return (half_width / n) * (2.0 * np.arange(n) - n + 1)
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,9 @@ def _radius_sq(meshes: Sequence[np.ndarray]) -> np.ndarray:
 
 def sample_symbol(
     family: str,
-    params: Optional[dict] = None,
-    half_width: Optional[float] = None,
-    n: Optional[int] = None,
+    params: Optional[dict],
+    half_width: float,
+    n: int,
     dim: int = 2,
 ) -> SymbolGrid:
     """Sample one of the built-in closed-form families.
@@ -139,15 +135,11 @@ def sample_symbol(
     Families:
       * ``gaussian``: amp * exp(-a |s - center|^2) * prod_j s_j^power_j
         * exp(i (s, wave))
-      * ``heat``: exp(-t |s|^2)
-      * ``bessel``: (1 + |s|^2)^(-sigma/2)
-      * ``coordinate``: i * s_axis * exp(-a |s|^2)
+
+    The heat and Bessel symbols are :mod:`qeuclid.calculus` multipliers;
+    ``evaluate_multiplier`` samples them on a grid.
     """
     params = dict(params or {})
-    if half_width is None or n is None:
-        d_hw, d_n = DEFAULT_GRID[dim]
-        half_width = d_hw if half_width is None else half_width
-        n = d_n if n is None else n
     if half_width <= 0 or n <= 0:
         raise ValueError("grid parameters must be positive")
 
@@ -170,24 +162,6 @@ def sample_symbol(
         phase = sum(m * w for m, w in zip(meshes, wave))
         if np.any(np.asarray(wave) != 0.0):
             vals = vals * np.exp(1j * phase)
-    elif family == "heat":
-        t = float(params.get("t", 1.0))
-        if t < 0 or not np.isfinite(t):
-            raise ValueError("heat time must be finite and nonnegative")
-        vals = np.exp(-t * _radius_sq(meshes)).astype(complex)
-    elif family == "bessel":
-        sigma = float(params.get("sigma", 2.0))
-        if not np.isfinite(sigma):
-            raise ValueError("bessel order must be finite")
-        vals = (1.0 + _radius_sq(meshes)) ** (-sigma / 2.0) + 0j
-    elif family == "coordinate":
-        axis = int(params.get("axis", 0))
-        a = float(params.get("a", 0.5))
-        if axis < 0 or axis >= dim:
-            raise ValueError(f"axis {axis} out of range for dim {dim}")
-        if a <= 0:
-            raise ValueError("window decay rate must be positive")
-        vals = 1j * meshes[axis] * np.exp(-a * _radius_sq(meshes))
     else:
         raise ValueError(f"unknown symbol family {family!r}")
 

@@ -108,7 +108,7 @@ def test_r8_reduces_to_r5_and_r2(small_backend):
     assert r8_high.ratio == pytest.approx(r2.ratio, rel=1e-6)
 
 
-SCALE_INVARIANT_IDS = ["R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R11", "R12", "R13", "R14", "R15", "R18"]
+SCALE_INVARIANT_IDS = ["R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R11", "R12", "R14", "R15", "R18"]
 
 
 @pytest.mark.parametrize("tid", SCALE_INVARIANT_IDS)
@@ -136,7 +136,7 @@ def test_r9_range_gate(small_backend):
 
 
 def test_registry_ids_complete():
-    assert registry_ids() == [f"R{i}" for i in range(1, 19)]
+    assert registry_ids() == [f"R{i}" for i in range(1, 19) if i != 13]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_decay_envelope_peaks_inside_grid(small_backend):
     probe = small_backend.heat_probe()
     base = small_backend.norm(probe, p)
     ts = np.geomspace(0.5, 20.0, 10)
-    vals = np.array([small_backend.norm(small_backend.heat(probe, t), q) / base for t in ts])
+    vals = np.array([small_backend.norm(small_backend.apply(heat_symbol(t), probe), q) / base for t in ts])
     env = vals * ts**gamma
     k = int(np.argmax(env))
     assert 0 < k < len(ts) - 1

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qeuclid.calculus import bessel_symbol, evaluate_multiplier, heat_symbol
 from qeuclid.symbols import (
     SymbolGrid,
+    axis_nodes,
     classical_fourier,
     hormander_constant,
     lebesgue_norm,
@@ -18,6 +20,11 @@ from qeuclid.symbols import (
 
 def gaussian2(n=64, L=8.0, a=0.5, center=(0.0, 0.0)):
     return sample_symbol("gaussian", {"a": a, "center": center}, L, n, dim=2)
+
+
+def sampled(g, L, n, dim=2):
+    """A multiplier symbol sampled on the midpoint grid (L, n)."""
+    return evaluate_multiplier(g, SymbolGrid(dim, L, n, np.zeros((n,) * dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +41,12 @@ def test_gaussian_node_value():
 
 
 def test_heat_symbol_t0_is_one():
-    f = sample_symbol("heat", {"t": 0.0}, 8.0, 32, dim=2)
+    f = sampled(heat_symbol(0.0), 8.0, 32)
     assert np.all(f.samples == 1.0)
 
 
 def test_bessel_sigma0_is_one():
-    f = sample_symbol("bessel", {"sigma": 0.0}, 8.0, 32, dim=2)
+    f = sampled(bessel_symbol(0.0), 8.0, 32)
     assert np.allclose(f.samples, 1.0)
 
 
@@ -51,12 +58,18 @@ def test_unknown_family_raises():
 @pytest.mark.parametrize("bad", [{"half_width": -1.0, "n": 32}, {"half_width": 8.0, "n": 0}])
 def test_bad_grid_raises(bad):
     with pytest.raises(ValueError):
-        sample_symbol("heat", {"t": 1.0}, bad["half_width"], bad["n"])
+        sample_symbol("gaussian", {}, bad["half_width"], bad["n"])
 
 
 def test_no_node_on_boundary():
     f = gaussian2(n=17, L=4.0)
     assert np.abs(f.axes).max() < 4.0
+
+
+@pytest.mark.parametrize("n", [48, 64, 65, 96])
+def test_axis_nodes_exactly_symmetric(n):
+    s = axis_nodes(8.0, n)
+    assert np.array_equal(s, -s[::-1])
 
 
 def test_grid_shift_translation_consistency():
@@ -99,9 +112,12 @@ def test_fourier_shift_modulation():
 
 
 def test_fourier_parseval_unnormalized():
-    for family, params in [("gaussian", {"a": 0.7, "center": (0.4, -0.2)}), ("heat", {"t": 0.5}),
-                           ("bessel", {"sigma": 6.0}), ("coordinate", {"axis": 1, "a": 0.5})]:
-        f = sample_symbol(family, params, 8.0, 128, dim=2)
+    for f in (
+        sample_symbol("gaussian", {"a": 0.7, "center": (0.4, -0.2)}, 8.0, 128),
+        sampled(heat_symbol(0.5), 8.0, 128),
+        sampled(bessel_symbol(-6.0), 8.0, 128),
+        sample_symbol("gaussian", {"a": 0.5, "power": (0, 1), "amp": 1j}, 8.0, 128),
+    ):
         fh = classical_fourier(f)
         lhs = lebesgue_norm(f, 2) ** 2
         rhs = lebesgue_norm(fh, 2) ** 2 / (2 * np.pi) ** 2
@@ -276,25 +292,25 @@ def test_superlevel_constant_function():
 
 
 def test_superlevel_heat_disc_area():
-    g = sample_symbol("heat", {"t": 1.0}, 6.0, 256, dim=2)
+    g = sampled(heat_symbol(1.0), 6.0, 256)
     area = g.cell_volume * np.count_nonzero(rearrangement(g) >= np.exp(-1.0))
     assert area == pytest.approx(np.pi, rel=2e-2)
 
 
 def test_paley_weight_harmonic_decay():
-    ax = np.abs(sample_symbol("heat", {"t": 0}, 64.0, 4096, dim=1).axes)
+    ax = np.abs(axis_nodes(64.0, 4096))
     h = SymbolGrid(1, 64.0, 4096, 1.0 / (1.0 + ax))
     assert paley_weight_constant(h) == pytest.approx(2.0, rel=5e-2)
 
 
 def test_paley_weight_exponential_decay():
-    ax = sample_symbol("heat", {"t": 0}, 64.0, 4096, dim=1).axes
+    ax = axis_nodes(64.0, 4096)
     h = SymbolGrid(1, 64.0, 4096, np.exp(-np.abs(ax)))
     assert paley_weight_constant(h) == pytest.approx(2.0 / np.e, rel=2e-2)
 
 
 def test_paley_weight_homogeneity():
-    ax = sample_symbol("heat", {"t": 0}, 32.0, 1024, dim=1).axes
+    ax = axis_nodes(32.0, 1024)
     h = SymbolGrid(1, 32.0, 1024, np.exp(-(ax**2) / 4))
     m1 = paley_weight_constant(h)
     m3 = paley_weight_constant(h.with_samples(3.0 * h.samples))
@@ -321,7 +337,7 @@ def test_hormander_heat_closed_form():
     # sup_u u (pi (-ln u)/t0)^gamma = (pi gamma / (e t0))^gamma
     gamma = 1 / (4 / 3) - 1 / 4.0
     for t0 in (0.5, 1.0):
-        g = sample_symbol("heat", {"t": t0}, 8.0, 256, dim=2)
+        g = sampled(heat_symbol(t0), 8.0, 256)
         ana = (np.pi * gamma / (np.e * t0)) ** gamma
         assert hormander_constant(g, 4 / 3, 4.0) == pytest.approx(ana, rel=3e-2)
 
