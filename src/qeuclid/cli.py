@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import calculus, harness, symbols, weyl
+from . import calculus, harness, symbols
 from .errors import BoundaryDecayError
 from .harness import MoyalBackend, registry_ids
 from .oracle import CLASSICAL_IDS, ClassicalBackend
@@ -87,27 +87,24 @@ class RunConfig:
         for s in self.suites:
             if s.theorem not in known:
                 raise ValueError(f"unknown theorem id {s.theorem!r}")
-            if s.n_trials < 1:
-                raise ValueError(f"n_trials must be >= 1 for {s.theorem}")
-            if s.params_grid is not None and len(s.params_grid) == 0:
-                raise ValueError(f"empty parameter grid for {s.theorem}")
             if self.backend == "classical" and s.theorem not in CLASSICAL_IDS:
                 raise ValueError(
                     f"{s.theorem} is not available on the classical backend "
                     f"(allowed: {', '.join(CLASSICAL_IDS)})"
                 )
-        # parameter gates run before any heavy computation
+        # parameter gates run on every planned trial before any heavy computation
         backend = make_backend(self)
         for s in self.suites:
-            entry = harness.REGISTRY[s.theorem]
-            grid = s.params_grid if s.params_grid is not None else entry.params_fn(backend)
-            if entry.admissible_fn is not None:
-                for params in grid:
-                    try:
-                        entry.admissible_fn(backend, params)
-                    except (KeyError, ValueError) as exc:
-                        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                        raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
+            plan = harness.trial_plan(backend, s.theorem, s.n_trials, self.master_seed, s.params_grid)
+            gate = harness.REGISTRY[s.theorem].admissible_fn
+            if gate is None:
+                continue
+            for params, _ in plan:
+                try:
+                    gate(backend, params)
+                except (KeyError, ValueError) as exc:
+                    why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
 
 
 def make_backend(cfg: RunConfig):
@@ -193,7 +190,7 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
                 "fitted_constant": s.fitted_constant,
                 "failures": s.failures,
                 "batch_constants": s.batch_constants,
-                "mode": s.extras.get("mode"),
+                "mode": s.mode,
             }
             for tid, s in summaries.items()
         },
@@ -213,11 +210,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     backend = make_backend(cfg)
     tasks = []
     for s in cfg.suites:
-        entry = harness.REGISTRY[s.theorem]
-        grid = s.params_grid if s.params_grid is not None else entry.params_fn(backend)
-        for i in range(s.n_trials):
-            seed = harness.derive_seed(cfg.master_seed, s.theorem, i)
-            tasks.append((s.theorem, i, grid[i % len(grid)], seed))
+        plan = harness.trial_plan(backend, s.theorem, s.n_trials, cfg.master_seed, s.params_grid)
+        tasks += [(s.theorem, i, params, seed) for i, (params, seed) in enumerate(plan)]
 
     n_workers = _resolve_workers(cfg)
     results = {}
@@ -244,7 +238,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for s in cfg.suites:
         all_cases[s.theorem] = [results[(s.theorem, i)] for i in range(s.n_trials)]
     summaries = {
-        tid: harness.summarize_cases(backend, tid, cases) for tid, cases in all_cases.items()
+        tid: harness.summarize_cases(tid, cases) for tid, cases in all_cases.items()
     }
     _write_reports(Path(cfg.out_dir), cfg, all_cases, summaries)
 
@@ -264,23 +258,30 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _probe_backend(args, kind: str):
+    """The ``kind`` backend at --h and --N, on its default window unless --half-width/--n are given."""
+    cfg = default_config(kind)
+    cfg.theta_h, cfg.fock_dim = args.h, args.N
+    if args.half_width is not None:
+        cfg.grid_half_width = args.half_width
+    if args.n is not None:
+        cfg.grid_points = args.n
+    return make_backend(cfg)
+
+
 def _probe_quantize_roundtrip(args) -> int:
-    theta = weyl.DeformationMatrix.canonical(args.h)
+    backend = _probe_backend(args, "moyal")
     errs = []
     for params in ({"a": 0.5}, {"a": 1.0, "center": (0.5, -0.8)}, {"a": 0.8, "center": (-1.0, 0.3)}):
-        f = symbols.sample_symbol("gaussian", params, args.half_width, args.n, dim=2)
-        x = weyl.quantize(f, theta, args.N)
-        back = weyl.dequantize(x, args.half_width, args.n)
+        f = symbols.sample_symbol("gaussian", params, backend.half_width, backend.n, dim=2)
+        back = backend.fourier(backend.element_from_symbol(f))
         errs.append(float(np.abs(back.samples - f.samples).max()))
     print(f"quantize-roundtrip h={args.h} N={args.N}: sup error {max(errs):.3e}")
     return 0
 
 
 def _probe_heat_decay(args) -> int:
-    cfg = default_config(args.backend)
-    backend = make_backend(RunConfig(backend=args.backend, theta_h=args.h, fock_dim=args.N,
-                                     grid_half_width=cfg.grid_half_width, grid_points=cfg.grid_points,
-                                     suites=[]))
+    backend = _probe_backend(args, args.backend)
     ts = np.geomspace(args.tmin, args.tmax, args.npts)
     rows = harness.heat_decay_ratios(backend, backend.heat_probe(), args.p, args.q, ts)
     slope = harness.fit_decay_slope(rows)
@@ -293,10 +294,7 @@ def _probe_heat_decay(args) -> int:
 
 
 def _probe_multiplier_norm(args) -> int:
-    cfg = default_config(args.backend)
-    run_cfg = RunConfig(backend=args.backend, theta_h=args.h, fock_dim=args.N,
-                        grid_half_width=cfg.grid_half_width, grid_points=cfg.grid_points, suites=[])
-    backend = make_backend(run_cfg)
+    backend = _probe_backend(args, args.backend)
     params = {}
     if args.t is not None:
         params["t"] = args.t
@@ -346,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["moyal", "classical"], default="moyal")
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--N", type=int, default=128)
-    p.add_argument("--half-width", type=float, default=8.0)
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--half-width", type=float, help="grid half-width (default: the backend's)")
+    p.add_argument("--n", type=int, help="grid points per axis (default: the backend's)")
     p.add_argument("--p", type=float, default=4.0 / 3.0)
     p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--tmin", type=float, default=0.5)

@@ -10,14 +10,15 @@ prescribed value.
 
 The verifier logic is backend-agnostic: the same registry runs against the
 Fock-truncated backend here and against the one-dimensional commutative
-backend in :mod:`qeuclid.oracle`.  Both backends act with a multiplier through
-:func:`qeuclid.calculus.apply_multiplier` on their cached transform, so every
-multiplier the suites use (heat flow, Bessel potential, derivation) is one
-``backend.apply``.
+backend in :mod:`qeuclid.oracle`.  Both subclass :class:`Backend`, which owns
+the element life cycle and the multiplier pass, so every multiplier the
+suites use (heat flow, Bessel potential, derivation) is one ``backend.apply``:
+:func:`qeuclid.calculus.apply_multiplier` on the cached transform.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -30,18 +31,19 @@ from .calculus import MultiplierSymbol, bessel_symbol, derivative_symbol, heat_s
 from .errors import BoundaryDecayError, DomainError, FactorizationError
 from .spectra import SingularValueProfile
 from .symbols import SymbolGrid, lebesgue_norm, lorentz_norm
-from .weyl import DeformationMatrix, dequantize, quantize
+from .weyl import BOUNDARY_GATE, DeformationMatrix, dequantize, quantize
 
 __all__ = [
+    "Backend",
     "MoyalBackend",
     "RandomElement",
     "TheoremCase",
     "RatioSummary",
     "REGISTRY",
     "registry_ids",
-    "default_params",
     "run_case",
     "run_suite",
+    "trial_plan",
     "estimate_norm_ratio",
     "heat_decay_ratios",
     "fit_decay_slope",
@@ -85,114 +87,125 @@ class RandomElement:
     _profile: Optional[SingularValueProfile] = None
 
 
-class MoyalBackend:
-    """Verification backend on the quantized plane (dim 2)."""
+class Backend:
+    """The element life cycle both verification backends share.
 
-    dim = 2
-
-    def __init__(self, h: float = 1.0, fock_dim: int = 64, half_width: float = 8.0, n: int = 64):
-        self.theta = DeformationMatrix.canonical(h)
-        self.fock_dim = fock_dim
-        self.half_width = half_width
-        self.n = n
-        self._paley: Optional[tuple[SymbolGrid, float]] = None
-        self._fgrid: Optional[SymbolGrid] = None
+    A subclass keeps only its own maps: ``_payload(f, boundary_gate)`` from a
+    symbol to the algebra element, ``_transform(payload)`` back to the
+    transform, ``_profile(payload)`` and ``pair_trace(x, y)`` = tau(x y^*).  It
+    sets ``dim``, the window ``half_width`` and ``n``, the draw's smallest
+    component width ``width_floor`` and the heat probe's rate ``heat_rate``.
+    """
 
     # -- elements
 
     def element_from_symbol(self, f: SymbolGrid, spec: Optional[dict] = None) -> RandomElement:
-        op = quantize(f, self.theta, self.fock_dim)
-        return RandomElement(symbol=f, payload=op, spec=spec or {})
+        return RandomElement(symbol=f, payload=self._payload(f, BOUNDARY_GATE), spec=spec or {})
 
     def sample_element(self, seed: int) -> RandomElement:
         """Random finite Gaussian mixture, redrawn until the boundary gate passes.
 
-        Component law: 1..3 Gaussians, centers in the disc |c| <= L/4, widths
-        uniform in [0.55, 2], complex amplitudes with modulus in [0.3, 1].
-        Components narrower than 0.55 put quadrature-alias residue above the
-        1e-8 transform gate at the default window (N=64, n=64), so the width
-        floor sits just above 1/2; widths incompatible with the 1e-10
-        boundary gate are rejected by redrawing the whole mixture,
-        deterministically in the seed.
+        Component law: 1..3 Gaussians, centers in the ball |c| <= L/4, widths
+        uniform in [width_floor, 2], complex amplitudes with modulus in
+        [0.3, 1].  Mixtures incompatible with the 1e-10 boundary gate are
+        rejected by redrawing the whole mixture, deterministically in the seed.
         """
         rng = np.random.default_rng(seed)
-        L, n = self.half_width, self.n
-        ax = symbols.axis_nodes(L, n)
-        mesh = np.meshgrid(ax, ax, indexing="ij")
+        L, d = self.half_width, self.dim
         for attempt in range(500):
             k = int(rng.integers(1, 4))
             comps = []
-            vals = np.zeros((n, n), dtype=complex)
+            vals = np.zeros((self.n,) * d, dtype=complex)
             for _ in range(k):
                 while True:
-                    c = rng.uniform(-L / 4, L / 4, size=2)
-                    if np.hypot(c[0], c[1]) <= L / 4:
+                    c = rng.uniform(-L / 4, L / 4, size=d)
+                    # |c| as np.hypot rounds it: hypot(0, c1) = |c1|, then hypot(|c1|, c2)
+                    if np.hypot.reduce(c, initial=0.0) <= L / 4:
                         break
-                w = rng.uniform(0.55, 2.0)
+                w = rng.uniform(self.width_floor, 2.0)
                 amp = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
                 comps.append({"center": c.tolist(), "width": w, "amp": [amp.real, amp.imag]})
-                vals = vals + amp * np.exp(
-                    -((mesh[0] - c[0]) ** 2 + (mesh[1] - c[1]) ** 2) / (2 * w * w)
-                )
-            f = SymbolGrid(2, L, n, vals)
+                r2 = sum((m - ci) ** 2 for m, ci in zip(self._meshes, c))
+                vals = vals + amp * np.exp(-r2 / (2 * w * w))
+            f = SymbolGrid(d, L, self.n, vals)
             if f.boundary_decay() < 1e-10:
                 spec = {"family": "gaussian_mixture", "seed": seed, "attempt": attempt, "components": comps}
                 return self.element_from_symbol(f, spec)
         raise RuntimeError("could not draw an element passing the boundary gate")
 
     def heat_probe(self) -> RandomElement:
-        """Fixed wide probe for decay-slope fits: transform exp(-|xi|^2)."""
-        f = symbols.sample_symbol("gaussian", {"a": 1.0}, self.half_width, self.n, dim=2)
+        """Fixed wide probe for decay-slope fits: transform exp(-heat_rate |xi|^2)."""
+        f = symbols.sample_symbol("gaussian", {"a": self.heat_rate}, self.half_width, self.n, dim=self.dim)
         return self.element_from_symbol(f, {"family": "heat_probe"})
 
     # -- analysis
 
     def fourier(self, el: RandomElement) -> SymbolGrid:
         if el._fourier is None:
-            el._fourier = dequantize(el.payload, self.half_width, self.n)
+            el._fourier = self._transform(el.payload)
         return el._fourier
 
     def profile(self, el: RandomElement) -> SingularValueProfile:
         if el._profile is None:
-            el._profile = spectra.singular_profile(el.payload)
+            el._profile = self._profile(el.payload)
         return el._profile
 
     def norm(self, el: RandomElement, p: float) -> float:
         return spectra.schatten_norm(self.profile(el), p)
+
+    def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
+        """g(D) x from g * x_hat; apply_multiplier gates x_hat, so the symbol gate is off."""
+        gx = calculus.apply_multiplier(g, self.fourier(el))
+        return RandomElement(symbol=gx, payload=self._payload(gx, None), spec=el.spec)
+
+    def fourier_grid(self) -> SymbolGrid:
+        return SymbolGrid(self.dim, self.half_width, self.n, np.zeros((self.n,) * self.dim))
+
+    @functools.cached_property
+    def _meshes(self) -> tuple[np.ndarray, ...]:
+        return symbols.grid_meshes(self.fourier_grid())
+
+    def paley_weight(self) -> tuple[SymbolGrid, float]:
+        """Strictly positive weight (1+|s|^d)^-1 and its level functional M_h."""
+        return self._paley_weight
+
+    @functools.cached_property
+    def _paley_weight(self) -> tuple[SymbolGrid, float]:
+        r2 = symbols._radius_sq(self._meshes)
+        grid = self.fourier_grid().with_samples(1.0 / (1.0 + r2 ** (self.dim / 2)) + 0j)
+        return grid, symbols.paley_weight_constant(grid)
+
+
+class MoyalBackend(Backend):
+    """Verification backend on the quantized plane (dim 2): the payload is quantize(f)."""
+
+    dim = 2
+    # Components narrower than 0.55 put quadrature-alias residue above the
+    # 1e-8 transform gate at the default window (N=64, n=64), so the width
+    # floor sits just above 1/2.
+    width_floor = 0.55
+    heat_rate = 1.0
+
+    def __init__(self, h: float = 1.0, fock_dim: int = 64, half_width: float = 8.0, n: int = 64):
+        self.theta = DeformationMatrix.canonical(h)
+        self.fock_dim = fock_dim
+        self.half_width = half_width
+        self.n = n
+
+    def _payload(self, f, boundary_gate):
+        return quantize(f, self.theta, self.fock_dim, boundary_gate=boundary_gate)
+
+    def _transform(self, payload):
+        return dequantize(payload, self.half_width, self.n)
+
+    def _profile(self, payload):
+        return spectra.singular_profile(payload)
 
     def pair_trace(self, x: RandomElement, y: RandomElement) -> complex:
         """tau(x y^*) = c sum_{mn} x_mn conj(y_mn)."""
         a, b = x.payload, y.payload
         a._check_compatible(b)
         return complex(a.trace_weight * np.sum(a.matrix * np.conj(b.matrix)))
-
-    def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
-        """g(D) x = quantize(g * x_hat) on the backend's Fourier grid."""
-        gx = calculus.apply_multiplier(g, self.fourier(el))
-        out = quantize(gx, self.theta, self.fock_dim, boundary_gate=None)
-        return RandomElement(symbol=gx, payload=out, spec=el.spec)
-
-    def fourier_grid(self) -> SymbolGrid:
-        if self._fgrid is None:
-            n = self.n
-            self._fgrid = SymbolGrid(2, self.half_width, n, np.zeros((n, n)))
-        return self._fgrid
-
-    def paley_weight(self) -> tuple[SymbolGrid, float]:
-        """Strictly positive weight (1+|s|^2)^-1 and its level functional M_h."""
-        if self._paley is None:
-            grid = calculus.evaluate_multiplier(bessel_symbol(-2.0), self.fourier_grid())
-            self._paley = (grid, symbols.paley_weight_constant(grid))
-        return self._paley
-
-    def describe(self) -> dict:
-        return {
-            "backend": "moyal",
-            "h": self.theta.h,
-            "fock_dim": self.fock_dim,
-            "half_width": self.half_width,
-            "n": self.n,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +234,8 @@ class RatioSummary:
     median_ratio: float
     fitted_constant: float
     failures: int
+    mode: str
     batch_constants: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +619,6 @@ def registry_ids() -> list[str]:
     return sorted(REGISTRY, key=lambda t: int(t[1:]))
 
 
-def default_params(tid: str, backend) -> list[dict]:
-    return REGISTRY[tid].params_fn(backend)
-
-
 # ---------------------------------------------------------------------------
 # Running cases and suites
 # ---------------------------------------------------------------------------
@@ -626,9 +635,8 @@ def run_case(backend, tid: str, params: dict, seed: int) -> TheoremCase:
     entry = REGISTRY[tid]
     if entry.admissible_fn is not None:
         entry.admissible_fn(backend, params)
-    # the trial seed already mixes in the theorem id (run_suite and cmd_verify
-    # derive it as derive_seed(master, tid, i)), so no element is shared
-    # across suites
+    # the trial seed already mixes in the theorem id (trial_plan derives it
+    # as derive_seed(master, tid, i)), so no element is shared across suites
     els = [backend.sample_element(derive_seed(seed, "element", j)) for j in range(entry.n_elements)]
     spec = els[0].spec if els else {}
     try:
@@ -662,26 +670,31 @@ def run_suite(
     master_seed: int,
     params_grid: Optional[list] = None,
 ) -> tuple[list[TheoremCase], RatioSummary]:
-    """Run ``n_trials`` cases cycling over the parameter grid and summarize.
+    """Run the ``n_trials`` cases of :func:`trial_plan` and summarize.
 
-    Per-trial seeds derive from (master_seed, tid, index); results do not
-    depend on execution order.  The fitted constant is the max finite ratio;
-    batch constants split the trials in half for stability checks.
+    The fitted constant is the max finite ratio; batch constants split the
+    trials in half for stability checks.
+    """
+    plan = trial_plan(backend, tid, n_trials, master_seed, params_grid)
+    cases = [run_case(backend, tid, params, seed) for params, seed in plan]
+    return cases, summarize_cases(tid, cases)
+
+
+def trial_plan(
+    backend, tid: str, n_trials: int, master_seed: int, params_grid: Optional[list] = None
+) -> list[tuple[dict, int]]:
+    """(params, seed) of trial i = 0..n_trials-1: row i mod len of the grid (the
+    suite's own unless ``params_grid`` is given) and derive_seed(master_seed, tid, i).
     """
     if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    entry = REGISTRY[tid]
-    grid = params_grid if params_grid is not None else entry.params_fn(backend)
+        raise ValueError(f"n_trials must be >= 1 for {tid}")
+    grid = params_grid if params_grid is not None else REGISTRY[tid].params_fn(backend)
     if not grid:
         raise ValueError(f"empty parameter grid for {tid}")
-    cases = [
-        run_case(backend, tid, grid[i % len(grid)], derive_seed(master_seed, tid, i))
-        for i in range(n_trials)
-    ]
-    return cases, summarize_cases(backend, tid, cases)
+    return [(grid[i % len(grid)], derive_seed(master_seed, tid, i)) for i in range(n_trials)]
 
 
-def summarize_cases(backend, tid: str, cases: Sequence[TheoremCase]) -> RatioSummary:
+def summarize_cases(tid: str, cases: Sequence[TheoremCase]) -> RatioSummary:
     entry = REGISTRY[tid]
     ratios = np.array([c.ratio for c in cases], dtype=float)
     finite = ratios[np.isfinite(ratios)]
@@ -704,8 +717,8 @@ def summarize_cases(backend, tid: str, cases: Sequence[TheoremCase]) -> RatioSum
         median_ratio=float(np.median(finite)) if finite.size else math.nan,
         fitted_constant=fitted,
         failures=failures,
+        mode=entry.mode,
         batch_constants=batches,
-        extras={"mode": entry.mode, "tol": entry.tol, "backend": backend.describe()},
     )
 
 

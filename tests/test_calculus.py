@@ -191,11 +191,14 @@ def test_bessel_identity_and_inverse(backend, x):
     assert op_dist(roundtrip, big) < 1e-4
 
 
-def test_bessel_minus_two_same_path(backend, x):
-    # the Paley weight of R5/R8 is the Bessel symbol of order -2, sample for sample
+def test_bessel_minus_two_same_path(backend, x, classical_backend):
+    # the Paley weight (1+|s|^d)^-1 of R5/R8 is the Bessel symbol of order -2
+    # in d = 2, sample for sample, and 1/(1+|s|) in d = 1
     weight, _ = backend.paley_weight()
     out = backend.apply(bessel_symbol(-2.0), x)
     assert np.array_equal(out.symbol.samples, weight.samples * backend.fourier(x).samples)
+    s = axis_nodes(classical_backend.half_width, classical_backend.n)
+    assert np.array_equal(classical_backend.paley_weight()[0].samples, 1.0 / (1.0 + np.abs(s)) + 0j)
 
 
 def test_sobolev_norm_s0_is_lp(backend, x):

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qeuclid import harness
@@ -71,7 +72,7 @@ def test_cases_csv_parses_with_csv_module(tmp_path):
     backend = make_backend(cfg)
     for row in rows:
         assert None not in row and all(v is not None for v in row.values())
-        grid = harness.default_params(row["theorem"], backend)
+        grid = harness.REGISTRY[row["theorem"]].params_fn(backend)
         assert json.loads(row["params"]) == grid[int(row["trial"]) % len(grid)]
 
 
@@ -175,6 +176,19 @@ def test_probe_heat_decay(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,ratio" and lines[-1].startswith("slope,")
+
+
+@pytest.mark.parametrize("backend, half_width, n", [("moyal", 6.0, 40), ("classical", 32.0, 1024)])
+def test_probe_heat_decay_honours_grid_flags(tmp_path, backend, half_width, n):
+    # --half-width and --n pick the probe's window; the backend's default is only the fallback
+    out = tmp_path / "heat.csv"
+    argv = ["probe", "heat-decay", "--backend", backend, "--N", "32", "--half-width", str(half_width),
+            "--n", str(n), "--npts", "6", "--out", str(out)]
+    assert main(argv) == 0
+    ref = make_backend(RunConfig(backend=backend, fock_dim=32, grid_half_width=half_width, grid_points=n))
+    rows = harness.heat_decay_ratios(ref, ref.heat_probe(), 4.0 / 3.0, 4.0, np.geomspace(0.5, 20.0, 6))
+    got = [line.split(",") for line in out.read_text().strip().splitlines()[1:-1]]
+    assert [float(r) for _, r in got] == [r for _, r in rows]
 
 
 def test_probe_unknown_exits_one():

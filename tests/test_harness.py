@@ -8,7 +8,6 @@ from qeuclid.harness import (
     MoyalBackend,
     RandomElement,
     conjugate_exponent,
-    default_params,
     derive_seed,
     estimate_norm_ratio,
     fit_decay_slope,
@@ -36,20 +35,33 @@ def scaled_element(backend, el, lam):
 # ---------------------------------------------------------------------------
 
 
-def test_sampling_deterministic(small_backend):
-    a = small_backend.sample_element(42)
-    b = small_backend.sample_element(42)
+def payload_array(el):
+    """The Fock matrix of a quantized element, the position samples of a classical one."""
+    return el.payload.matrix if el.symbol.dim == 2 else el.payload.samples
+
+
+BACKENDS = pytest.mark.parametrize("backend_name", ["small_backend", "classical_backend"])
+
+
+@BACKENDS
+def test_sampling_deterministic(request, backend_name):
+    backend = request.getfixturevalue(backend_name)
+    a = backend.sample_element(42)
+    b = backend.sample_element(42)
+    assert a.spec == b.spec
     assert np.array_equal(a.symbol.samples, b.symbol.samples)
-    assert np.array_equal(a.payload.matrix, b.payload.matrix)
+    assert np.array_equal(payload_array(a), payload_array(b))
 
 
-def test_sampling_distinct_seeds(small_backend):
-    a = small_backend.sample_element(7)
-    b = small_backend.sample_element(8)
+@BACKENDS
+def test_sampling_distinct_seeds(request, backend_name):
+    backend = request.getfixturevalue(backend_name)
+    a = backend.sample_element(7)
+    b = backend.sample_element(8)
     assert np.abs(a.symbol.samples - b.symbol.samples).max() > 1e-3
 
 
-@pytest.mark.parametrize("backend_name", ["small_backend", "classical_backend"])
+@BACKENDS
 def test_apply_sets_multiplied_symbol(request, backend_name):
     backend = request.getfixturevalue(backend_name)
     el = backend.sample_element(3)
@@ -61,11 +73,13 @@ def test_apply_sets_multiplied_symbol(request, backend_name):
     assert np.array_equal(out.symbol.samples, expected)
 
 
-def test_sampling_boundary_gate_audit():
-    backend = MoyalBackend(h=1.0, fock_dim=8, half_width=8.0, n=48)
+@BACKENDS
+def test_sampling_boundary_gate_audit(request, backend_name):
+    backend = request.getfixturevalue(backend_name)
     for seed in range(1000):
         el = backend.sample_element(seed)
         assert el.symbol.boundary_decay() < 1e-10
+        assert all(np.linalg.norm(c["center"]) <= backend.half_width / 4 for c in el.spec["components"])
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +128,7 @@ SCALE_INVARIANT_IDS = ["R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R11", "R
 @pytest.mark.parametrize("tid", SCALE_INVARIANT_IDS)
 def test_ratio_scale_invariance(small_backend, tid):
     entry = REGISTRY[tid]
-    params = default_params(tid, small_backend)[0]
+    params = entry.params_fn(small_backend)[0]
     el = small_backend.sample_element(23)
     lhs0, rhs0 = entry.compute_fn(small_backend, params, [el])
     lhs1, rhs1 = entry.compute_fn(small_backend, params, [scaled_element(small_backend, el, 3.7)])
@@ -145,7 +159,7 @@ def test_registry_ids_complete():
 
 
 def test_suite_single_trial_matches_case(small_backend):
-    params = default_params("R2", small_backend)
+    params = REGISTRY["R2"].params_fn(small_backend)
     cases, summary = run_suite(small_backend, "R2", 1, 99, params_grid=params)
     case = run_case(small_backend, "R2", params[0], derive_seed(99, "R2", 0))
     assert cases[0].ratio == case.ratio

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qeuclid.calculus import constant_symbol, evaluate_multiplier, heat_symbol, translation_symbol
-from qeuclid.harness import default_params, run_case
+from qeuclid.harness import REGISTRY, run_case
 from qeuclid.symbols import hormander_constant, sample_symbol
 
 
@@ -55,7 +55,7 @@ def test_r2_parseval_case(classical_backend):
 
 def test_classical_constant_one_tight(classical_backend):
     for tid in ("R1", "R2", "R3", "R4"):
-        for params in default_params(tid, classical_backend):
+        for params in REGISTRY[tid].params_fn(classical_backend):
             for seed in (0, 1):
                 case = run_case(classical_backend, tid, params, seed)
                 assert case.ratio <= 1.0 + 1e-6, (tid, params)
@@ -92,9 +92,3 @@ def test_report_shape_matches_moyal(small_backend, classical_backend):
     b = run_case(classical_backend, "R2", {"p": 4 / 3}, 1)
     assert set(vars(a)) == set(vars(b))
     assert a.theorem == b.theorem == "R2"
-
-
-def test_classical_sampling_deterministic(classical_backend):
-    x = classical_backend.sample_element(5)
-    y = classical_backend.sample_element(5)
-    assert np.array_equal(x.payload.samples, y.payload.samples)
