@@ -25,6 +25,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
@@ -80,31 +81,37 @@ class RunConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-    def validate(self) -> None:
+    def plan(self) -> list[tuple[str, dict, int]]:
+        """The run's (theorem, params, seed) trials, suite by suite in config order.
+
+        Raises ValueError on a configuration the run cannot compute; the
+        parameter gates run on every planned trial before any heavy computation.
+        """
         if self.backend not in ("moyal", "classical"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        known = set(registry_ids())
+        backend = make_backend(self)
+        tasks, seen = [], set()
         for s in self.suites:
-            if s.theorem not in known:
+            if s.theorem not in harness.REGISTRY:
                 raise ValueError(f"unknown theorem id {s.theorem!r}")
             if self.backend == "classical" and s.theorem not in CLASSICAL_IDS:
                 raise ValueError(
                     f"{s.theorem} is not available on the classical backend "
                     f"(allowed: {', '.join(CLASSICAL_IDS)})"
                 )
-        # parameter gates run on every planned trial before any heavy computation
-        backend = make_backend(self)
-        for s in self.suites:
-            plan = harness.trial_plan(backend, s.theorem, s.n_trials, self.master_seed, s.params_grid)
+            if s.theorem in seen:
+                raise ValueError(f"{s.theorem} is listed twice")
+            seen.add(s.theorem)
             gate = harness.REGISTRY[s.theorem].admissible_fn
-            if gate is None:
-                continue
-            for params, _ in plan:
-                try:
-                    gate(backend, params)
-                except (KeyError, ValueError) as exc:
-                    why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                    raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
+            for params, seed in harness.trial_plan(backend, s.theorem, s.n_trials, self.master_seed, s.params_grid):
+                if gate is not None:
+                    try:
+                        gate(backend, params)
+                    except (KeyError, ValueError) as exc:
+                        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                        raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
+                tasks.append((s.theorem, params, seed))
+        return tasks
 
 
 def make_backend(cfg: RunConfig):
@@ -138,15 +145,11 @@ _worker_state: dict = {}
 
 
 def _worker_init(cfg_json: str) -> None:
-    cfg = RunConfig.from_dict(json.loads(cfg_json))
-    _worker_state["backend"] = make_backend(cfg)
-    _worker_state["cfg"] = cfg
+    _worker_state["backend"] = make_backend(RunConfig.from_dict(json.loads(cfg_json)))
 
 
-def _worker_trial(task) -> tuple:
-    tid, trial_idx, params, seed = task
-    case = harness.run_case(_worker_state["backend"], tid, params, seed)
-    return (tid, trial_idx, case)
+def _worker_trial(task) -> harness.TheoremCase:
+    return harness.run_case(_worker_state["backend"], *task)
 
 
 def _resolve_workers(cfg: RunConfig) -> int:
@@ -182,18 +185,7 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
                 ])
     payload = {
         "config_hash": chash,
-        "suites": {
-            tid: {
-                "trials": s.trials,
-                "max_ratio": s.max_ratio,
-                "median_ratio": s.median_ratio,
-                "fitted_constant": s.fitted_constant,
-                "failures": s.failures,
-                "batch_constants": s.batch_constants,
-                "mode": s.mode,
-            }
-            for tid, s in summaries.items()
-        },
+        "suites": {tid: {k: v for k, v in asdict(s).items() if k != "theorem"} for tid, s in summaries.items()},
     }
     with open(out_dir / "summaries.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -203,52 +195,38 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
 
 def cmd_verify(cfg: RunConfig) -> int:
     try:
-        cfg.validate()
+        tasks = cfg.plan()
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    backend = make_backend(cfg)
-    tasks = []
-    for s in cfg.suites:
-        plan = harness.trial_plan(backend, s.theorem, s.n_trials, cfg.master_seed, s.params_grid)
-        tasks += [(s.theorem, i, params, seed) for i, (params, seed) in enumerate(plan)]
 
     n_workers = _resolve_workers(cfg)
-    results = {}
     try:
         if n_workers == 1 or len(tasks) < 2:
             _worker_init(cfg.to_json())
-            for task in tasks:
-                tid, idx, case = _worker_trial(task)
-                results[(tid, idx)] = case
+            cases = [_worker_trial(task) for task in tasks]
         else:
             with ProcessPoolExecutor(
                 n_workers, mp_context=get_context("spawn"),
                 initializer=_worker_init, initargs=(cfg.to_json(),),
             ) as pool:
-                for tid, idx, case in pool.map(_worker_trial, tasks, chunksize=4):
-                    results[(tid, idx)] = case
+                cases = list(pool.map(_worker_trial, tasks, chunksize=4))
     except RuntimeError as exc:
         # a dead pool worker (BrokenProcessPool), a failed trace-weight
         # validation or an element draw that never passed its gate
         print(f"verify error: {exc}", file=sys.stderr)
         return 1
 
-    all_cases: dict = {}
-    for s in cfg.suites:
-        all_cases[s.theorem] = [results[(s.theorem, i)] for i in range(s.n_trials)]
-    summaries = {
-        tid: harness.summarize_cases(tid, cases) for tid, cases in all_cases.items()
-    }
+    # tasks run suite by suite in config order, and map keeps that order
+    rest = iter(cases)
+    all_cases = {s.theorem: list(islice(rest, s.n_trials)) for s in cfg.suites}
+    summaries = {tid: harness.summarize_cases(tid, suite) for tid, suite in all_cases.items()}
     _write_reports(Path(cfg.out_dir), cfg, all_cases, summaries)
 
     total_failures = sum(s.failures for s in summaries.values())
     for tid in sorted(summaries, key=lambda t: int(t[1:])):
         s = summaries[tid]
-        print(
-            f"{tid}: trials={s.trials} failures={s.failures} "
-            f"max_ratio={s.max_ratio:.6g} fitted={s.fitted_constant:.6g}"
-        )
+        print(f"{tid}: trials={s.trials} failures={s.failures} fitted={s.fitted_constant:.6g}")
     print(f"total failures: {total_failures}")
     return 0 if total_failures == 0 else 2
 

@@ -311,14 +311,6 @@ class QuantizedOperator:
         if self.fock_dim != other.fock_dim or self.theta.h != other.theta.h:
             raise GridMismatchError("operators live in different quantizations")
 
-    def __add__(self, other: "QuantizedOperator") -> "QuantizedOperator":
-        self._check_compatible(other)
-        return QuantizedOperator(self.fock_dim, self.matrix + other.matrix, self.theta, self.trace_weight)
-
-    def __sub__(self, other: "QuantizedOperator") -> "QuantizedOperator":
-        self._check_compatible(other)
-        return QuantizedOperator(self.fock_dim, self.matrix - other.matrix, self.theta, self.trace_weight)
-
     def scaled(self, a: complex) -> "QuantizedOperator":
         return QuantizedOperator(self.fock_dim, a * self.matrix, self.theta, self.trace_weight)
 

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,6 +13,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env(*paths, **overrides) -> dict:
+    """Environment of a child ``python -m qeuclid.cli``: ``paths``, then ``src``, on its PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches only the test process, so an
+    uninstalled checkout needs ``src`` passed on to every child it starts.
+    """
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*map(str, paths), str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

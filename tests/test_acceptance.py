@@ -8,13 +8,13 @@ that grade suite outputs.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 from qeuclid.calculus import evaluate_multiplier, heat_symbol
 from qeuclid.harness import MoyalBackend, fit_decay_slope, sobolev_scale_sweep
@@ -39,12 +39,12 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _run_cli(args, workers=None):
-    env = dict(os.environ)
-    if workers is not None:
-        env["QEUCLID_WORKERS"] = str(workers)
+def _run_cli(args, workers):
     return subprocess.run(
-        [sys.executable, "-m", "qeuclid.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qeuclid.cli", *args],
+        capture_output=True,
+        text=True,
+        env=cli_env(QEUCLID_WORKERS=str(workers)),
     )
 
 
@@ -176,8 +176,10 @@ def test_criterion_4_roundtrips():
 @pytest.mark.parametrize("tid", CONSTANT_ONE_SUITES)
 def test_criterion_5_constant_one(tid, verify_artifacts):
     s = verify_artifacts["summaries"][tid]
-    ok = s["max_ratio"] <= 1.0 + 1e-3
-    assert _report("5", ok, f"{tid}: max ratio {s['max_ratio']:.6g} over {s['trials']} trials (tolerance 1+1e-3)")
+    ok = s["fitted_constant"] <= 1.0 + 1e-3
+    assert _report(
+        "5", ok, f"{tid}: fitted constant {s['fitted_constant']:.6g} over {s['trials']} trials (tolerance 1+1e-3)"
+    )
 
 
 def test_criterion_5_flat_spectrum_equality():

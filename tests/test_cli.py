@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 from qeuclid import harness
 from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main, make_backend
@@ -31,13 +32,11 @@ def small_config(out_dir, trials=4, suites=("R2", "R15"), backend="moyal"):
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "qeuclid.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(**(env_extra or {})),
     )
 
 
@@ -114,6 +113,14 @@ def test_verify_refuses_bad_parameters_up_front(tmp_path, capsys, tid, params):
     cfg.suites = [SuiteConfig(tid, 2, params_grid=[params])]
     assert cmd_verify(cfg) == 1
     assert capsys.readouterr().err.startswith(f"configuration error: {tid} parameters {params}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_refuses_a_suite_listed_twice(tmp_path, capsys):
+    cfg = small_config(tmp_path / "out")
+    cfg.suites = [SuiteConfig("R2", 3, params_grid=[{"p": 1.0}]), SuiteConfig("R2", 2, params_grid=[{"p": 2.0}])]
+    assert cmd_verify(cfg) == 1
+    assert capsys.readouterr().err == "configuration error: R2 is listed twice\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -258,8 +265,7 @@ def test_verify_exits_one_when_a_worker_dies(tmp_path):
     (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(small_config(tmp_path / "out", trials=6).to_json())
-    env = dict(os.environ, QEUCLID_WORKERS="2", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PYTHONPATH")]))
+    env = cli_env(tmp_path, QEUCLID_WORKERS="2", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "qeuclid.cli", "verify", "--config", str(cfg_path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,

@@ -163,7 +163,7 @@ def test_suite_single_trial_matches_case(small_backend):
     cases, summary = run_suite(small_backend, "R2", 1, 99, params_grid=params)
     case = run_case(small_backend, "R2", params[0], derive_seed(99, "R2", 0))
     assert cases[0].ratio == case.ratio
-    assert summary.trials == 1 and summary.max_ratio == case.ratio
+    assert summary.trials == 1 and summary.fitted_constant == case.ratio
 
 
 def test_suite_deterministic(small_backend):
@@ -176,7 +176,7 @@ def test_suite_deterministic(small_backend):
 def test_suite_constant_one_all_pass(small_backend):
     cases, summary = run_suite(small_backend, "R2", 30, 7)
     assert summary.failures == 0
-    assert summary.max_ratio <= 1.0 + 1e-3
+    assert summary.fitted_constant <= 1.0 + 1e-3
 
 
 def test_suite_empirical_fit_and_batches(small_backend):
@@ -217,6 +217,44 @@ def test_plain_value_error_propagates(small_backend, monkeypatch):
     monkeypatch.setitem(REGISTRY, "R2", dataclasses.replace(REGISTRY["R2"], compute_fn=buggy))
     with pytest.raises(ValueError, match="bug"):
         run_case(small_backend, "R2", {"p": 1.5}, 5)
+
+
+@pytest.mark.parametrize("backend_name", ["small_backend", "classical_backend"])
+def test_r10_passes_down_to_twelve_tenths_of_gamma(request, monkeypatch, backend_name):
+    # R10's ratio is slope / (-gamma) and its tol is 0.2: a slope passes iff it is >= -1.2 gamma
+    import dataclasses
+
+    backend = request.getfixturevalue(backend_name)
+    entry = REGISTRY["R10"]
+    params = entry.params_fn(backend)[0]
+    gamma = (backend.dim / 2.0) * (1.0 / params["p"] - 1.0 / params["q"])
+    for sides, passed, reason in (
+        ((-1.2 * gamma * (1 - 1e-9), -gamma), True, ""),
+        ((-1.2 * gamma * (1 + 1e-9), -gamma), False, ""),
+        ((-gamma, math.nan), False, "nonfinite ratio"),
+    ):
+        monkeypatch.setitem(REGISTRY, "R10", dataclasses.replace(entry, compute_fn=lambda b, p, els, s=sides: s))
+        case = run_case(backend, "R10", params, 0)
+        assert (case.passed, case.reason) == (passed, reason), sides
+
+
+def test_empirical_trial_passes_any_finite_ratio(small_backend, monkeypatch):
+    # an empirical suite has no fixed constant (tol = inf): only an errored trial fails
+    import dataclasses
+
+    calls = {"n": 0}
+
+    def huge_then_error(backend, params, els):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise DomainError("synthetic numeric failure")
+        return 1e300, 1.0
+
+    monkeypatch.setitem(REGISTRY, "R5", dataclasses.replace(REGISTRY["R5"], compute_fn=huge_then_error))
+    cases, summary = run_suite(small_backend, "R5", 2, 0)
+    assert [c.passed for c in cases] == [True, False]
+    assert cases[1].reason == "DomainError: synthetic numeric failure"
+    assert summary.failures == 1 and summary.fitted_constant == 1e300
 
 
 # ---------------------------------------------------------------------------

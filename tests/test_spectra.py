@@ -124,7 +124,7 @@ def test_schatten_triangle(rng, theta):
     for p in (1.0, 1.7, 3.0):
         for _ in range(10):
             x, y = random_op(rng, theta), random_op(rng, theta)
-            assert schatten_norm(singular_profile(x + y), p) <= (
+            assert schatten_norm(singular_profile(op_from_matrix(x.matrix + y.matrix, theta)), p) <= (
                 schatten_norm(singular_profile(x), p) + schatten_norm(singular_profile(y), p)
             ) * (1 + 1e-12)
 

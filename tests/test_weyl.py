@@ -200,8 +200,8 @@ def test_quantize_linearity(theta):
     g = gaussian_mixture(8.0, 48, [(0.5j, -0.5, 0.4, 0.9)])
     a, b = 2.0 - 1.0j, 0.3
     lhs = quantize(f.with_samples(a * f.samples + b * g.samples), theta, 48)
-    rhs = quantize(f, theta, 48).scaled(a) + quantize(g, theta, 48).scaled(b)
-    assert np.abs(lhs.matrix - rhs.matrix).max() < 1e-12 * np.abs(lhs.matrix).max()
+    rhs = a * quantize(f, theta, 48).matrix + b * quantize(g, theta, 48).matrix
+    assert np.abs(lhs.matrix - rhs).max() < 1e-12 * np.abs(lhs.matrix).max()
 
 
 def test_operator_norm_below_l1(theta):
