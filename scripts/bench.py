@@ -7,7 +7,11 @@ times with ``time.perf_counter``:
 
 - the first ``quantize`` of the window, which builds its cached tables;
 - ``CALLS`` further calls each of ``quantize``, ``dequantize`` and
-  ``spectra.singular_profile``.
+  ``spectra.singular_profile``;
+- ``CALLS`` calls of ``MoyalBackend.apply`` for each multiplier in
+  ``MULTIPLIERS`` (heat at t = 1 and t = 20, Bessel at s = 1, d/dx1), each
+  on a fresh element whose transform is not cached yet, after one untimed
+  call that builds whatever tables the pass caches.
 
 It then reads ``ru_maxrss`` from ``resource.getrusage``.  The table build is
 the first ``quantize`` minus the median later one.  Every figure is the
@@ -34,13 +38,24 @@ from time import perf_counter
 WINDOWS = ((64, 64), (128, 64), (96, 96))
 H, HALF_WIDTH = 1.0, 8.0
 CALLS, REPEATS = 9, 3  # timed calls of each kernel per process; fresh processes per window
+#: report key -> (calculus constructor, its argument)
+MULTIPLIERS = {
+    "apply_heat_t1_ms": ("heat_symbol", 1.0),
+    "apply_heat_t20_ms": ("heat_symbol", 20.0),
+    "apply_bessel_s1_ms": ("bessel_symbol", 1.0),
+    "apply_d1_ms": ("derivative_symbol", 0),
+}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def measure(N: int, n: int) -> dict:
     """One window in this process; call it only in a fresh one."""
-    from qeuclid import spectra, weyl
+    from qeuclid import calculus, spectra, weyl
+    from qeuclid.harness import MoyalBackend, RandomElement
     from qeuclid.symbols import sample_symbol
+
+    # weyl imports scipy.special lazily; load it here so the first quantize times the build alone
+    import scipy.special  # noqa: F401
 
     theta = weyl.DeformationMatrix.canonical(H)
     f = sample_symbol("gaussian", {"a": 0.5, "center": (0.5, -0.8)}, HALF_WIDTH, n, dim=2)
@@ -56,13 +71,24 @@ def measure(N: int, n: int) -> dict:
     d = [timed(lambda: weyl.dequantize(x, HALF_WIDTH, n))[0] for _ in range(CALLS)]
     s = [timed(lambda: spectra.singular_profile(x))[0] for _ in range(CALLS)]
     q_med = statistics.median(q)
-    return {
+    out = {
         "table_build_s": first - q_med,
         "quantize_ms": q_med * 1e3,
         "dequantize_ms": statistics.median(d) * 1e3,
         "singular_profile_ms": statistics.median(s) * 1e3,
-        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    backend = MoyalBackend(H, N, HALF_WIDTH, n)
+    el = backend.element_from_symbol(f)
+    for key, (make, arg) in MULTIPLIERS.items():
+        g = getattr(calculus, make)(arg)
+
+        def fresh_apply():
+            return backend.apply(g, RandomElement(el.symbol, el.payload, el.spec))
+
+        fresh_apply()
+        out[key] = statistics.median(timed(fresh_apply)[0] for _ in range(CALLS)) * 1e3
+    out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
 
 
 def run_window(src: Path, N: int, n: int) -> dict:

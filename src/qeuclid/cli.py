@@ -81,8 +81,8 @@ class RunConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-    def plan(self) -> list[tuple[str, dict, int]]:
-        """The run's (theorem, params, seed) trials, suite by suite in config order.
+    def plan(self) -> tuple[object, list[tuple[str, dict, int]]]:
+        """The run's backend and its (theorem, params, seed) trials, suite by suite in config order.
 
         Raises ValueError on a configuration the run cannot compute; the
         parameter gates run on every planned trial before any heavy computation.
@@ -111,7 +111,7 @@ class RunConfig:
                         why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                         raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
                 tasks.append((s.theorem, params, seed))
-        return tasks
+        return backend, tasks
 
 
 def make_backend(cfg: RunConfig):
@@ -141,11 +141,9 @@ def default_config(backend: str = "moyal") -> RunConfig:
 # Worker pool
 # ---------------------------------------------------------------------------
 
+# The run's backend, set by cmd_verify before the pool forks: the workers
+# inherit it with its tables instead of importing and building their own.
 _worker_state: dict = {}
-
-
-def _worker_init(cfg_json: str) -> None:
-    _worker_state["backend"] = make_backend(RunConfig.from_dict(json.loads(cfg_json)))
 
 
 def _worker_trial(task) -> harness.TheoremCase:
@@ -195,27 +193,29 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
 
 def cmd_verify(cfg: RunConfig) -> int:
     try:
-        tasks = cfg.plan()
+        backend, tasks = cfg.plan()
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
     n_workers = _resolve_workers(cfg)
     try:
+        backend.build_tables()
+        _worker_state["backend"] = backend
         if n_workers == 1 or len(tasks) < 2:
-            _worker_init(cfg.to_json())
             cases = [_worker_trial(task) for task in tasks]
         else:
-            with ProcessPoolExecutor(
-                n_workers, mp_context=get_context("spawn"),
-                initializer=_worker_init, initargs=(cfg.to_json(),),
-            ) as pool:
+            # fork (POSIX): BLAS runs on one thread and the pool starts before
+            # any thread of its own, so the forked workers are safe to use
+            with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
                 cases = list(pool.map(_worker_trial, tasks, chunksize=4))
     except RuntimeError as exc:
         # a dead pool worker (BrokenProcessPool), a failed trace-weight
         # validation or an element draw that never passed its gate
         print(f"verify error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _worker_state.clear()
 
     # tasks run suite by suite in config order, and map keeps that order
     rest = iter(cases)

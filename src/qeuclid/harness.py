@@ -12,8 +12,11 @@ The verifier logic is backend-agnostic: the same registry runs against the
 Fock-truncated backend here and against the one-dimensional commutative
 backend in :mod:`qeuclid.oracle`.  Both subclass :class:`Backend`, which owns
 the element life cycle and the multiplier pass, so every multiplier the
-suites use (heat flow, Bessel potential, derivation) is one ``backend.apply``:
-:func:`qeuclid.calculus.apply_multiplier` on the cached transform.
+suites use (heat flow, Bessel potential, derivation) is one ``backend.apply``.
+On the classical backend that is :func:`qeuclid.calculus.apply_multiplier` on
+the cached transform; :class:`MoyalBackend` applies these three families with
+:func:`qeuclid.calculus.fock_pass` on the Fock matrix instead, and keeps the
+grid pass for every other symbol.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import calculus, spectra, symbols
+from . import calculus, spectra, symbols, weyl
 from .calculus import MultiplierSymbol, bessel_symbol, derivative_symbol, heat_symbol
 from .errors import BoundaryDecayError, DomainError, FactorizationError
 from .spectra import SingularValueProfile
@@ -77,10 +80,11 @@ class RandomElement:
     """A Schwartz-class element together with its generating symbol.
 
     ``symbol`` is f with x = quantize(f) (so f equals the transform of x up
-    to quadrature error); backends attach their own payload and caches.
+    to quadrature error), or None for the output of a Fock-basis pass, which
+    has no grid symbol; backends attach their own payload and caches.
     """
 
-    symbol: SymbolGrid
+    symbol: Optional[SymbolGrid]
     payload: object
     spec: dict
     _fourier: Optional[SymbolGrid] = None
@@ -158,6 +162,10 @@ class Backend:
         gx = calculus.apply_multiplier(g, self.fourier(el))
         return RandomElement(symbol=gx, payload=self._payload(gx, None), spec=el.spec)
 
+    def build_tables(self) -> None:
+        """Build the cached tables the trials read (none here); verify calls it before
+        its pool forks, so the workers inherit them."""
+
     def fourier_grid(self) -> SymbolGrid:
         return SymbolGrid(self.dim, self.half_width, self.n, np.zeros((self.n,) * self.dim))
 
@@ -191,6 +199,22 @@ class MoyalBackend(Backend):
         self.fock_dim = fock_dim
         self.half_width = half_width
         self.n = n
+
+    def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
+        """g(D) x: the Fock-basis pass for the heat, Bessel and derivation families, which
+        forms no transform and leaves no grid symbol; the grid pass for any other symbol."""
+        if g.family not in calculus.FOCK_FAMILIES:
+            return super().apply(g, el)
+        return RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
+
+    def build_tables(self) -> None:
+        """The trace-weight check, the quantization tables of the window and the
+        tables of the Fock-basis passes."""
+        N = self.fock_dim
+        weyl._validate_trace_weight(self.theta.h, N)
+        weyl._radial_tables(self.theta.h, self.half_width, self.n, N)
+        calculus._gauss_laguerre(N)
+        calculus._jacobi_eigen(N, calculus.BESSEL_INNER_FACTOR * N)
 
     def _payload(self, f, boundary_gate):
         return quantize(f, self.theta, self.fock_dim, boundary_gate=boundary_gate)
@@ -380,8 +404,11 @@ def _heat_times(params) -> tuple[float, float, int]:
 
 
 def _r10_admissible(backend, params):
-    # the same bounds fit_decay_slope enforces, checked before any heat flow
+    # the same bounds fit_decay_slope enforces, checked before any heat flow;
+    # at p = q, gamma = 0 and the ratio slope / (-gamma) does not exist
     _pq_admissible(backend, params)
+    if params["p"] == params["q"]:
+        raise ValueError("need p != q")
     tmin, tmax, npts = _heat_times(params)
     if not (npts >= 5 and 0 < tmin < tmax < math.inf and tmax / tmin >= 10**1.5):
         raise ValueError(

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BoundaryDecayError, GridMismatchError
 from .symbols import SymbolGrid, axis_nodes
@@ -113,6 +112,9 @@ class DeformationMatrix:
 
 @functools.cache
 def _lgamma(N: int) -> np.ndarray:
+    # importing scipy.special costs ~0.3 s, which only the Moyal path should pay
+    from scipy.special import gammaln
+
     return gammaln(np.arange(N + 1, dtype=float))
 
 
@@ -225,7 +227,11 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
 
     radii = np.sqrt(h / 2.0) * (half_width / n) * np.sqrt(keys)
     blocks = tuple(np.empty((radii.size, N - d)) for d in range(N))
-    batch = max(1, 2**20 // (N * N))
+    # each temporary of _displacement_block holds batch * N^2 values: 2**17
+    # keeps the transient near 10 MB (2**20 made ~100 MB); 2**16 saves 7 MB
+    # more at (64, 64) but slows the (96, 96) build by ~30 %, because each
+    # batch runs its own N-step Laguerre recurrence
+    batch = max(1, 2**17 // (N * N))
     for start in range(0, radii.size, batch):
         R = _displacement_block(radii[start : start + batch], N).real  # U is real at alpha = r
         for d, blk in enumerate(blocks):
@@ -310,12 +316,6 @@ class QuantizedOperator:
     def _check_compatible(self, other: "QuantizedOperator") -> None:
         if self.fock_dim != other.fock_dim or self.theta.h != other.theta.h:
             raise GridMismatchError("operators live in different quantizations")
-
-    def scaled(self, a: complex) -> "QuantizedOperator":
-        return QuantizedOperator(self.fock_dim, a * self.matrix, self.theta, self.trace_weight)
-
-    def adjoint(self) -> "QuantizedOperator":
-        return QuantizedOperator(self.fock_dim, self.matrix.conj().T, self.theta, self.trace_weight)
 
 
 def quantize(

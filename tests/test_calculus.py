@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qeuclid import calculus
 from qeuclid.calculus import (
     MultiplierSymbol,
+    apply_multiplier,
     bessel_symbol,
     constant_symbol,
     derivative_symbol,
@@ -12,9 +14,9 @@ from qeuclid.calculus import (
     translation_symbol,
 )
 from qeuclid.errors import BoundaryDecayError, DomainError
-from qeuclid.harness import REGISTRY, MoyalBackend, RandomElement, sobolev_norm
+from qeuclid.harness import REGISTRY, Backend, MoyalBackend, RandomElement, sobolev_norm
 from qeuclid.symbols import SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm
-from qeuclid.weyl import dequantize, quantize, trace_tau
+from qeuclid.weyl import QuantizedOperator, dequantize, quantize, trace_tau
 
 L, NGRID, NFOCK = 8.0, 64, 64
 
@@ -195,8 +197,8 @@ def test_bessel_minus_two_same_path(backend, x, classical_backend):
     # the Paley weight (1+|s|^d)^-1 of R5/R8 is the Bessel symbol of order -2
     # in d = 2, sample for sample, and 1/(1+|s|) in d = 1
     weight, _ = backend.paley_weight()
-    out = backend.apply(bessel_symbol(-2.0), x)
-    assert np.array_equal(out.symbol.samples, weight.samples * backend.fourier(x).samples)
+    out = apply_multiplier(bessel_symbol(-2.0), backend.fourier(x))
+    assert np.array_equal(out.samples, weight.samples * backend.fourier(x).samples)
     s = axis_nodes(classical_backend.half_width, classical_backend.n)
     assert np.array_equal(classical_backend.paley_weight()[0].samples, 1.0 / (1.0 + np.abs(s)) + 0j)
 
@@ -278,3 +280,82 @@ def test_make_multiplier_registry():
         make_multiplier(name, dim=2)
     with pytest.raises(ValueError):
         make_multiplier("mystery")
+
+
+# ---------------------------------------------------------------------------
+# Fock-basis passes against closed forms and the grid pass
+# ---------------------------------------------------------------------------
+
+
+def thermal(theta, a, N, shift=0):
+    """P x_a P, x_a = (2 pi/h) (nb + 1)^-1 r^N_op with r = nb / (nb + 1), nb = 2a/h - 1/2:
+    the element with transform exp(-a |s|^2).  With ``shift`` = d it is
+    P y P + its adjoint instead, for the derivation y = ad_{a^dag}^d(x_a) =
+    (1 - r)^d a^dag^d x_a, built at size N + d and cut back to N."""
+    h, M = theta.h, N + shift
+    nb = 2.0 * a / h - 0.5
+    r = nb / (nb + 1)
+    x = np.diag((2 * np.pi / h) / (nb + 1) * r ** np.arange(M)).astype(complex)
+    raise_op = np.diag(np.sqrt(np.arange(1.0, M)), -1)
+    for _ in range(shift):
+        x = (1 - r) * raise_op @ x
+    if shift:
+        x = x + x.conj().T
+    return QuantizedOperator(N, x[:N, :N], theta, theta.trace_weight)
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a.matrix - b.matrix) / np.linalg.norm(b.matrix)
+
+
+def test_thermal_element_transform_and_heat_probe(backend):
+    x1 = thermal(backend.theta, 1.0, NFOCK)
+    xhat = dequantize(x1, L, NGRID)
+    assert np.abs(xhat.samples - np.exp(-sum(m**2 for m in grid_meshes(xhat)))).max() < 4e-15
+    probe = backend.heat_probe().payload.matrix
+    assert np.abs(probe - x1.matrix).max() < 1e-14 * np.abs(x1.matrix).max()
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 20.0])
+@pytest.mark.parametrize("a, shift", [(1.0, 0), (0.5, 1), (0.5, 10)])
+def test_heat_pass_is_the_thermal_flow(theta, N, t, a, shift):
+    # e^{t Lap} x_a = x_{a+t}, and the derivation ad_{a^dag} commutes with it,
+    # so the diagonals m - n = +-shift flow in closed form too.  The pass is
+    # P e^{t Lap} P; it equals the flow of the untruncated element because these
+    # inputs hold less than 1e-14 of their mass beyond N.
+    out = calculus.fock_pass(heat_symbol(t), thermal(theta, a, N, shift))
+    assert rel_gap(out, thermal(theta, a + t, N, shift)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def drawn(backend):
+    return [backend.sample_element(seed) for seed in range(3)]
+
+
+def test_bessel_pass_inner_size_converged(backend, drawn, monkeypatch):
+    orders = (1 / 3, 1.0, 1.5)  # the harness's Bessel orders lie in [1/3, 1.5]
+    at_2n = [calculus.fock_pass(bessel_symbol(s), el.payload) for el in drawn for s in orders]
+    monkeypatch.setattr(calculus, "BESSEL_INNER_FACTOR", 3)
+    at_3n = [calculus.fock_pass(bessel_symbol(s), el.payload) for el in drawn for s in orders]
+    assert max(rel_gap(a, b) for a, b in zip(at_2n, at_3n)) < 1e-10
+    grid = [Backend.apply(backend, bessel_symbol(s), el).payload for el in drawn for s in orders]
+    assert max(rel_gap(a, b) for a, b in zip(at_2n, grid)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "g", [derivative_symbol(0), derivative_symbol(1), heat_symbol(0.5), heat_symbol(1.0)], ids=lambda g: g.label
+)
+def test_fock_pass_matches_grid_pass(backend, drawn, g):
+    # where the grid resolves g * x_hat (derivations, heat with t <= 1), the
+    # two passes agree; MoyalBackend.apply takes the Fock pass and sets no symbol
+    for el in drawn:
+        out = backend.apply(g, el)
+        assert out.symbol is None
+        assert np.array_equal(out.payload.matrix, calculus.fock_pass(g, el.payload).matrix)
+        assert rel_gap(out.payload, Backend.apply(backend, g, el).payload) < 1e-9
+
+
+def test_fock_pass_refuses_other_families(x):
+    with pytest.raises(ValueError, match="no Fock-basis pass"):
+        calculus.fock_pass(translation_symbol((0.3, -0.2)), x.payload)

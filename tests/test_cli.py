@@ -104,6 +104,7 @@ def test_verify_bad_parameter_exits_one(tmp_path, capsys):
         ("R2", {"q": 4.0}),
         ("R9", {"p": 4 / 3}),
         ("R6", {"p": 2.0}),
+        ("R10", {"p": 2.0, "q": 2.0, "tmin": 0.5, "tmax": 20.0, "npts": 10}),
     ],
 )
 def test_verify_refuses_bad_parameters_up_front(tmp_path, capsys, tid, params):
@@ -146,7 +147,8 @@ def test_default_config_covers_registry():
 def test_verify_deterministic_across_worker_counts(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    base = small_config("PLACEHOLDER", trials=6)
+    # R9 and R18 run Fock-basis passes on tables the forked workers inherit
+    base = small_config("PLACEHOLDER", trials=6, suites=("R2", "R9", "R15", "R18"))
     payload = json.loads(base.to_json())
     for out, workers, sub in ((out1, "1", "a"), (out2, "2", "b")):
         payload["out_dir"] = str(out)

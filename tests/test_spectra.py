@@ -52,7 +52,7 @@ def test_profile_homogeneity(lam):
     rng = np.random.default_rng(5)
     x = random_op(rng, theta)
     a = singular_profile(x).sigmas
-    b = singular_profile(x.scaled(lam)).sigmas
+    b = singular_profile(op_from_matrix(lam * x.matrix, theta)).sigmas
     assert np.allclose(b, lam * a, rtol=1e-12, atol=1e-300)
 
 

@@ -226,7 +226,8 @@ def test_roundtrip_gaussians(theta):
 
 def test_dequantize_zero(theta):
     f = gaussian_mixture(8.0, 32, [(1.0, 0.0, 0.0, 0.8)])
-    x = quantize(f, theta, 32).scaled(0.0)
+    x = quantize(f, theta, 32)
+    x = QuantizedOperator(x.fock_dim, 0.0 * x.matrix, x.theta, x.trace_weight)
     assert np.all(dequantize(x, 8.0, 32).samples == 0)
 
 
@@ -252,8 +253,10 @@ def test_quantize_dequantize_adjointness(theta):
 def test_trace_linearity_and_conjugation(theta):
     f = gaussian_mixture(8.0, 48, [(1.0 + 0.5j, 0.3, -0.2, 0.8)])
     x = quantize(f, theta, 48)
-    assert trace_tau(x.scaled(2.0j)) == pytest.approx(2.0j * trace_tau(x), rel=1e-12)
-    assert trace_tau(x.adjoint()) == pytest.approx(np.conj(trace_tau(x)), rel=1e-12)
+    scaled = QuantizedOperator(x.fock_dim, 2.0j * x.matrix, x.theta, x.trace_weight)
+    adjoint = QuantizedOperator(x.fock_dim, x.matrix.conj().T, x.theta, x.trace_weight)
+    assert trace_tau(scaled) == pytest.approx(2.0j * trace_tau(x), rel=1e-12)
+    assert trace_tau(adjoint) == pytest.approx(np.conj(trace_tau(x)), rel=1e-12)
 
 
 def test_operator_roundtrip_block(theta):
