@@ -38,7 +38,6 @@ __all__ = [
     "make_multiplier",
     "evaluate_multiplier",
     "apply_multiplier",
-    "FOCK_FAMILIES",
     "fock_pass",
 ]
 
@@ -49,15 +48,14 @@ MULTIPLIER_GATE = 1e-8
 class MultiplierSymbol:
     """A closed-form multiplier symbol.
 
-    The grid pass samples ``evaluator``.  ``family`` and ``param`` name the
-    closed form where :func:`fock_pass` has one: ("heat", t), ("bessel", s)
-    and ("derivative", axis).
+    The grid pass samples ``evaluator``.  ``fock``, where the multiplier has
+    a closed form on the Fock matrix, maps (matrix, h) to the matrix of
+    g(D) x: see :func:`fock_pass`.
     """
 
     label: str
     evaluator: Callable[..., np.ndarray]
-    family: Optional[str] = None
-    param: float = 0.0
+    fock: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
 
 def heat_symbol(t: float) -> MultiplierSymbol:
@@ -66,18 +64,27 @@ def heat_symbol(t: float) -> MultiplierSymbol:
         raise ValueError("heat time must be nonnegative")
     if t == 0:
         return constant_symbol(1.0)
-    return MultiplierSymbol(f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), "heat", t)
+    return MultiplierSymbol(
+        f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lambda x, h: _heat(x, t, h)
+    )
 
 
 def bessel_symbol(s: float) -> MultiplierSymbol:
     """(1 + |xi|^2)^(s/2)."""
     return MultiplierSymbol(
-        f"bessel(s={s:g})", lambda *m: (1.0 + _radius_sq(m)) ** (s / 2.0) + 0j, "bessel", s
+        f"bessel(s={s:g})",
+        lambda *m: (1.0 + _radius_sq(m)) ** (s / 2.0) + 0j,
+        lambda x, h: _bessel(x, s, h),
     )
 
 
 def derivative_symbol(axis: int) -> MultiplierSymbol:
-    return MultiplierSymbol(f"d/dx{axis + 1}", lambda *m: 1j * m[axis], "derivative", axis)
+    """i xi_axis, the derivation d/dx_(axis+1); axis is 0 or 1."""
+    if axis not in (0, 1):
+        raise ValueError(f"derivative axis must be 0 or 1, got {axis}")
+    return MultiplierSymbol(
+        f"d/dx{axis + 1}", lambda *m: 1j * m[axis], lambda x, h: _derivation(x, axis, h)
+    )
 
 
 def translation_symbol(a) -> MultiplierSymbol:
@@ -279,18 +286,13 @@ def _derivation(x: np.ndarray, axis: int, h: float) -> np.ndarray:
     return gen @ x - x @ gen
 
 
-_FOCK_PASSES = {"heat": _heat, "bessel": _bessel, "derivative": _derivation}
-FOCK_FAMILIES = tuple(_FOCK_PASSES)
-
-
 def fock_pass(g: MultiplierSymbol, x: QuantizedOperator) -> QuantizedOperator:
-    """g(D) x on the Fock matrix of x, for g in :data:`FOCK_FAMILIES`.
+    """g(D) x on the Fock matrix of x, for a g with a ``fock`` closed form.
 
     Derivations and the heat flow are exact on the truncation; the Bessel
     potential carries the inner-size error above.  No transform is formed, so
     no boundary gate applies.
     """
-    if g.family not in _FOCK_PASSES:
+    if g.fock is None:
         raise ValueError(f"multiplier {g.label} has no Fock-basis pass")
-    out = _FOCK_PASSES[g.family](x.matrix, g.param, x.theta.h)
-    return QuantizedOperator(x.fock_dim, out, x.theta, x.trace_weight)
+    return QuantizedOperator(x.fock_dim, g.fock(x.matrix, x.theta.h), x.theta, x.trace_weight)

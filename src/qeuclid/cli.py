@@ -205,8 +205,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         if n_workers == 1 or len(tasks) < 2:
             cases = [_worker_trial(task) for task in tasks]
         else:
-            # fork (POSIX): BLAS runs on one thread and the pool starts before
-            # any thread of its own, so the forked workers are safe to use
+            # fork (POSIX), after build_tables has run BLAS in this process.
+            # That needs BLAS on one thread, which the pin at the top of this
+            # module sets only where the caller has not: a caller who widens
+            # the thread variables, or imports numpy before this module, gets
+            # BLAS's own threads.  A pthreads OpenBLAS (numpy's wheels) is
+            # still fork-safe; a BLAS on GNU OpenMP can hang the workers, and
+            # its callers should run with QEUCLID_WORKERS=1.
             with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
                 cases = list(pool.map(_worker_trial, tasks, chunksize=4))
     except RuntimeError as exc:

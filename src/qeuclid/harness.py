@@ -203,7 +203,7 @@ class MoyalBackend(Backend):
     def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
         """g(D) x: the Fock-basis pass for the heat, Bessel and derivation families, which
         forms no transform and leaves no grid symbol; the grid pass for any other symbol."""
-        if g.family not in calculus.FOCK_FAMILIES:
+        if g.fock is None:
             return super().apply(g, el)
         return RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
 

@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -173,25 +174,38 @@ def sample_symbol(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _fft_phases(n: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pre- and post-FFT phases of :func:`_phased_fft_1d`, read-only.
+
+    Two complex exponentials of length n cost about twice the FFT itself, and
+    the classical backend transforms at one n throughout a run.
+    """
+    c = 0.5 * (1.0 - n)
+    idx = np.arange(n)
+    w = np.exp(sign * 2j * np.pi * c * idx / n)
+    scale = np.exp(sign * 2j * np.pi * c * (idx + c) / n)
+    w.flags.writeable = scale.flags.writeable = False
+    return w, scale
+
+
 def _phased_fft_1d(samples: np.ndarray, n: int, sign: int, axis: int) -> np.ndarray:
     """sum_k f_k exp(sign * i t_j s_k) along one axis, midpoint-to-midpoint.
 
     With t_j s_k = (2pi/n)(j + c)(k + c), c = (1 - n)/2, the sum reduces to
     an FFT conjugated by linear phases.
     """
-    c = 0.5 * (1.0 - n)
-    idx = np.arange(n)
-    w = np.exp(sign * 2j * np.pi * c * idx / n)
+    w, scale = _fft_phases(n, sign)
     shape = [1] * samples.ndim
     shape[axis] = n
-    w = w.reshape(shape)
-    inner = samples * w
+    inner = samples * w.reshape(shape)
     if sign < 0:
         transformed = np.fft.fft(inner, axis=axis)
     else:
-        transformed = np.fft.ifft(inner, axis=axis) * n
-    scale = np.exp(sign * 2j * np.pi * c * (idx + c) / n).reshape(shape)
-    return transformed * scale
+        transformed = np.fft.ifft(inner, axis=axis)
+        transformed *= n
+    transformed *= scale.reshape(shape)
+    return transformed
 
 
 def classical_fourier(f: SymbolGrid, sign: int = -1) -> SymbolGrid:
@@ -207,7 +221,7 @@ def classical_fourier(f: SymbolGrid, sign: int = -1) -> SymbolGrid:
     out = f.samples.astype(complex)
     for axis in range(f.dim):
         out = _phased_fft_1d(out, n, sign, axis)
-    out = out * f.cell_volume
+    out *= f.cell_volume
     recip_half_width = np.pi * n / (2.0 * f.half_width)
     return SymbolGrid(f.dim, recip_half_width, n, out)
 

@@ -359,3 +359,6 @@ def test_fock_pass_matches_grid_pass(backend, drawn, g):
 def test_fock_pass_refuses_other_families(x):
     with pytest.raises(ValueError, match="no Fock-basis pass"):
         calculus.fock_pass(translation_symbol((0.3, -0.2)), x.payload)
+    for axis in (2, -1):
+        with pytest.raises(ValueError, match="axis must be 0 or 1"):
+            derivative_symbol(axis)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qeuclid.harness import (
+    Backend,
     REGISTRY,
     MoyalBackend,
     RandomElement,
@@ -69,11 +70,11 @@ def test_apply_sets_multiplied_symbol(request, backend_name):
     el = backend.sample_element(3)
     xhat = backend.fourier(el)
     g = heat_symbol(0.5)
-    # the grid pass; the Moyal apply of heat is the Fock-basis pass, which sets no symbol
-    out = calculus.apply_multiplier(g, xhat)
-    assert out.same_grid(backend.fourier_grid())
+    # the base apply is the grid pass; MoyalBackend.apply takes the Fock pass for heat
+    out = Backend.apply(backend, g, el)
+    assert out.symbol.same_grid(backend.fourier_grid())
     expected = calculus.evaluate_multiplier(g, xhat).samples * xhat.samples
-    assert np.array_equal(out.samples, expected)
+    assert np.array_equal(out.symbol.samples, expected)
 
 
 @BACKENDS
