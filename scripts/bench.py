@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the Moyal kernels at the reference windows.
+"""Per-layer timings of the Moyal kernels at the reference windows, and
+end-to-end timings of the default ``verify`` runs.
 
 For each window (N, n) it starts ``REPEATS`` fresh processes.  Each one
 imports ``qeuclid`` from ``--src``, runs the trace-weight check, and then
@@ -16,7 +17,22 @@ times with ``time.perf_counter``:
 It then reads ``ru_maxrss`` from ``resource.getrusage``.  The table build is
 the first ``quantize`` minus the median later one.  Every figure is the
 median over the processes of each process's median, except ``maxrss_mb``,
-which is the largest.  BLAS runs on one thread.
+which is the largest.
+
+For each default config in ``VERIFY_RUNS`` (moyal and classical, at 1 and 2
+workers) it starts ``REPEATS`` fresh processes.  Each one calls
+``cli.cmd_verify`` once, writing into a temporary directory, and records:
+
+- ``wall_s``, the call's wall time, and ``ms_per_trial``, that over the
+  run's trial count;
+- at 1 worker, ``suite_ms_per_trial``: each suite's summed ``run_case`` time
+  over its trial count.  A trial that draws an element pays for the draw;
+  trials that read an element drawn earlier at their trial index do not;
+- ``maxrss_mb`` and ``children_maxrss_mb``, ``ru_maxrss`` of the process and
+  of its largest waited-for child: at 2 workers, the largest pool worker.
+
+Every figure is the median over the processes, except the two maxrss
+figures, which are the largest.  BLAS runs on one thread.
 
     python3 scripts/bench.py --src src --label change --out BENCH_new.json
 
@@ -46,6 +62,8 @@ MULTIPLIERS = {
     "apply_d1_ms": ("derivative_symbol", 0),
 }
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: (backend, workers) of the end-to-end runs of the default config
+VERIFY_RUNS = (("moyal", 1), ("moyal", 2), ("classical", 1), ("classical", 2))
 
 
 def measure(N: int, n: int) -> dict:
@@ -91,16 +109,71 @@ def measure(N: int, n: int) -> dict:
     return out
 
 
-def run_window(src: Path, N: int, n: int) -> dict:
+def measure_verify(backend: str, workers: int) -> dict:
+    """One default ``verify`` run in this process; call it only in a fresh one."""
+    import tempfile
+
+    from qeuclid import cli, harness
+
+    cfg = cli.default_config(backend)
+    cfg.workers = workers
+    suite_s = {s.theorem: 0.0 for s in cfg.suites}
+    run_case = harness.run_case
+
+    def timed_case(backend, tid, *args):
+        t0 = perf_counter()
+        case = run_case(backend, tid, *args)
+        suite_s[tid] += perf_counter() - t0
+        return case
+
+    harness.run_case = timed_case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.out_dir = tmp
+        t0 = perf_counter()
+        rc = cli.cmd_verify(cfg)
+        wall = perf_counter() - t0
+    if rc not in (0, 2):
+        raise SystemExit(f"verify --backend {backend} exited {rc}")
+    trials = sum(s.n_trials for s in cfg.suites)
+    out = {"rc": rc, "trials": trials, "wall_s": wall, "ms_per_trial": wall / trials * 1e3}
+    if workers == 1:
+        out["suite_ms_per_trial"] = {s.theorem: suite_s[s.theorem] / s.n_trials * 1e3 for s in cfg.suites}
+    out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["children_maxrss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return out
+
+
+def _fresh_runs(src: Path, *child_args: str) -> list[dict]:
+    """REPEATS fresh ``--child`` processes on ``src``, with BLAS on one thread."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), **{v: "1" for v in THREAD_VARS})
+    env.pop("QEUCLID_WORKERS", None)
     runs = []
     for _ in range(REPEATS):
-        cmd = [sys.executable, __file__, "--child", f"{N},{n}"]
+        cmd = [sys.executable, __file__, "--child", *child_args]
         out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
         runs.append(json.loads(out.splitlines()[-1]))
-    result = {k: statistics.median(r[k] for r in runs) for k in runs[0] if k != "maxrss_mb"}
-    result["maxrss_mb"] = max(r["maxrss_mb"] for r in runs)
-    return {"N": N, "n": n, **{k: round(v, 4) for k, v in result.items()}}
+    return runs
+
+
+def _median_runs(runs: list[dict]) -> dict:
+    """Median of each figure over the runs (per key for nested dicts); the largest maxrss."""
+    out = {}
+    for k, v in runs[0].items():
+        if isinstance(v, dict):
+            out[k] = {s: round(statistics.median(r[k][s] for r in runs), 4) for s in v}
+        elif k.endswith("maxrss_mb"):
+            out[k] = round(max(r[k] for r in runs), 4)
+        else:
+            out[k] = round(statistics.median(r[k] for r in runs), 4)
+    return out
+
+
+def run_window(src: Path, N: int, n: int) -> dict:
+    return {"N": N, "n": n, **_median_runs(_fresh_runs(src, "window", f"{N},{n}"))}
+
+
+def run_verify(src: Path, backend: str, workers: int) -> dict:
+    return {"backend": backend, "workers": workers, **_median_runs(_fresh_runs(src, "verify", f"{backend},{workers}"))}
 
 
 def cpu_model() -> str:
@@ -114,9 +187,14 @@ def cpu_model() -> str:
 
 
 def main() -> int:
-    if sys.argv[1:2] == ["--child"]:  # internal: one window, started by run_window
-        N, n = (int(v) for v in sys.argv[2].split(","))
-        print(json.dumps(measure(N, n)))
+    if sys.argv[1:2] == ["--child"]:  # internal: one measurement, started by _fresh_runs
+        what, arg = sys.argv[2:4]
+        if what == "window":
+            N, n = (int(v) for v in arg.split(","))
+            print(json.dumps(measure(N, n)))
+        else:
+            backend, workers = arg.split(",")
+            print(json.dumps(measure_verify(backend, int(workers))))
         return 0
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", type=Path, default=Path("src"), help="directory that holds the qeuclid package")
@@ -128,6 +206,10 @@ def main() -> int:
     for N, n in WINDOWS:
         windows.append(run_window(args.src, N, n))
         print(json.dumps(windows[-1]), flush=True)
+    verify = []
+    for backend, workers in VERIFY_RUNS:
+        verify.append(run_verify(args.src, backend, workers))
+        print(json.dumps(verify[-1]), flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["machine"] = {
         "cpus": os.cpu_count(),
@@ -136,7 +218,7 @@ def main() -> int:
         "blas_threads": 1,
     }
     doc["protocol"] = {"h": H, "half_width": HALF_WIDTH, "calls": CALLS, "repeats": REPEATS}
-    doc.setdefault("runs", {})[args.label] = {"windows": windows}
+    doc.setdefault("runs", {})[args.label] = {"windows": windows, "verify": verify}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

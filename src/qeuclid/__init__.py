@@ -5,6 +5,20 @@ and singular-value norms, act with Fourier multipliers, and stress-test
 the norm inequalities that tie the two sides together.
 """
 
+import os
+
+# Pin BLAS to one thread before any submodule loads numpy: the verify pool
+# forks after BLAS work, and reports must not depend on the thread layout.
+# Variables the caller has already set are left alone.
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
+
 from .errors import BoundaryDecayError, DomainError, FactorizationError, GridMismatchError
 from .symbols import (
     SymbolGrid,

@@ -1,31 +1,21 @@
 """Command-line entry point: configure, verify, probe.
 
 Byte-identical reports across runs and worker counts are part of the
-contract, so BLAS threading is pinned to one thread before numpy loads and
-every trial is computed in a fixed, seed-derived way regardless of the pool
-layout.
+contract, so BLAS threading is pinned to one thread (at the top of
+``qeuclid/__init__.py``, before numpy loads) and every trial is computed in a
+fixed, seed-derived way regardless of the pool layout.
 """
-
-import os
-
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
-    os.environ.setdefault(_var, "1")
 
 import argparse
 import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import zip_longest
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
@@ -81,8 +71,9 @@ class RunConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-    def plan(self) -> tuple[object, list[tuple[str, dict, int]]]:
-        """The run's backend and its (theorem, params, seed) trials, suite by suite in config order.
+    def plan(self) -> tuple[object, list[list[tuple[str, dict, int]]]]:
+        """The run's backend and its tasks, one per trial index: task i holds every
+        suite's (theorem, params, seed) row at index i, in config order.
 
         Raises ValueError on a configuration the run cannot compute; the
         parameter gates run on every planned trial before any heavy computation.
@@ -90,7 +81,7 @@ class RunConfig:
         if self.backend not in ("moyal", "classical"):
             raise ValueError(f"unknown backend {self.backend!r}")
         backend = make_backend(self)
-        tasks, seen = [], set()
+        suite_rows, seen = [], set()
         for s in self.suites:
             if s.theorem not in harness.REGISTRY:
                 raise ValueError(f"unknown theorem id {s.theorem!r}")
@@ -103,6 +94,7 @@ class RunConfig:
                 raise ValueError(f"{s.theorem} is listed twice")
             seen.add(s.theorem)
             gate = harness.REGISTRY[s.theorem].admissible_fn
+            rows = []
             for params, seed in harness.trial_plan(backend, s.theorem, s.n_trials, self.master_seed, s.params_grid):
                 if gate is not None:
                     try:
@@ -110,7 +102,9 @@ class RunConfig:
                     except (KeyError, ValueError) as exc:
                         why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                         raise ValueError(f"{s.theorem} parameters {params}: {why}") from None
-                tasks.append((s.theorem, params, seed))
+                rows.append((s.theorem, params, seed))
+            suite_rows.append(rows)
+        tasks = [[row for row in index if row is not None] for index in zip_longest(*suite_rows)]
         return backend, tasks
 
 
@@ -146,8 +140,8 @@ def default_config(backend: str = "moyal") -> RunConfig:
 _worker_state: dict = {}
 
 
-def _worker_trial(task) -> harness.TheoremCase:
-    return harness.run_case(_worker_state["backend"], *task)
+def _worker_task(rows) -> list[harness.TheoremCase]:
+    return harness.run_index(_worker_state["backend"], rows)
 
 
 def _resolve_workers(cfg: RunConfig) -> int:
@@ -203,17 +197,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         backend.build_tables()
         _worker_state["backend"] = backend
         if n_workers == 1 or len(tasks) < 2:
-            cases = [_worker_trial(task) for task in tasks]
+            results = [_worker_task(rows) for rows in tasks]
         else:
             # fork (POSIX), after build_tables has run BLAS in this process.
-            # That needs BLAS on one thread, which the pin at the top of this
-            # module sets only where the caller has not: a caller who widens
-            # the thread variables, or imports numpy before this module, gets
-            # BLAS's own threads.  A pthreads OpenBLAS (numpy's wheels) is
+            # That needs BLAS on one thread, which the pin at the top of
+            # qeuclid/__init__.py sets only where the caller has not: a caller
+            # who widens the thread variables, or imports numpy before qeuclid,
+            # gets BLAS's own threads.  A pthreads OpenBLAS (numpy's wheels) is
             # still fork-safe; a BLAS on GNU OpenMP can hang the workers, and
             # its callers should run with QEUCLID_WORKERS=1.
             with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
-                cases = list(pool.map(_worker_trial, tasks, chunksize=4))
+                results = list(pool.map(_worker_task, tasks))
     except RuntimeError as exc:
         # a dead pool worker (BrokenProcessPool), a failed trace-weight
         # validation or an element draw that never passed its gate
@@ -222,9 +216,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     finally:
         _worker_state.clear()
 
-    # tasks run suite by suite in config order, and map keeps that order
-    rest = iter(cases)
-    all_cases = {s.theorem: list(islice(rest, s.n_trials)) for s in cfg.suites}
+    # map keeps the index order, so each suite gets its trials in order
+    all_cases = {s.theorem: [] for s in cfg.suites}
+    for rows in results:
+        for case in rows:
+            all_cases[case.theorem].append(case)
     summaries = {tid: harness.summarize_cases(tid, suite) for tid, suite in all_cases.items()}
     _write_reports(Path(cfg.out_dir), cfg, all_cases, summaries)
 

@@ -6,7 +6,9 @@ transform, multiplier actions, and level-set constants.  Each suite draws random
 Schwartz-class elements, evaluates the two sides, and records ratios; for
 statements whose sharp constant is unknown the suite reports the fitted
 (max observed) constant and checks cross-batch stability rather than a
-prescribed value.
+prescribed value.  A trial's seed depends on the master seed and the trial
+index alone, so trial i of every suite reads the same elements, drawn once
+per index (:func:`run_index`).
 
 The verifier logic is backend-agnostic: the same registry runs against the
 Fock-truncated backend here and against the one-dimensional commutative
@@ -45,6 +47,7 @@ __all__ = [
     "REGISTRY",
     "registry_ids",
     "run_case",
+    "run_index",
     "run_suite",
     "trial_plan",
     "estimate_norm_ratio",
@@ -656,17 +659,22 @@ def registry_ids() -> list[str]:
 _TRIAL_ERRORS = (DomainError, BoundaryDecayError, FactorizationError, FloatingPointError, ZeroDivisionError)
 
 
-def run_case(backend, tid: str, params: dict, seed: int) -> TheoremCase:
+def run_case(backend, tid: str, params: dict, seed: int, drawn: Optional[list] = None) -> TheoremCase:
     """One trial: draw element(s), evaluate both sides, compute the ratio.
 
+    Slot j's element is drawn from derive_seed(seed, "element", j).  ``drawn``
+    holds the elements already drawn from ``seed``, slot by slot; the trial
+    appends any slot it needs that is missing, so the rows of one trial index
+    (:func:`run_index`) share their draws, transforms and singular values.
     The trial passes iff the ratio lhs / rhs is finite and at most 1 + tol.
     """
     entry = REGISTRY[tid]
     if entry.admissible_fn is not None:
         entry.admissible_fn(backend, params)
-    # the trial seed already mixes in the theorem id (trial_plan derives it
-    # as derive_seed(master, tid, i)), so no element is shared across suites
-    els = [backend.sample_element(derive_seed(seed, "element", j)) for j in range(entry.n_elements)]
+    drawn = [] if drawn is None else drawn
+    while len(drawn) < entry.n_elements:
+        drawn.append(backend.sample_element(derive_seed(seed, "element", len(drawn))))
+    els = drawn[: entry.n_elements]
     spec = els[0].spec if els else {}
     try:
         lhs, rhs = entry.compute_fn(backend, params, els)
@@ -680,6 +688,18 @@ def run_case(backend, tid: str, params: dict, seed: int) -> TheoremCase:
     finite = math.isfinite(ratio)
     passed = bool(finite and ratio <= 1.0 + entry.tol)
     return TheoremCase(tid, params, lhs, rhs, ratio, passed, seed, spec, reason="" if finite else "nonfinite ratio")
+
+
+def run_index(backend, rows: Sequence[tuple[str, dict, int]]) -> list[TheoremCase]:
+    """The (theorem, params, seed) rows of one trial index, every suite's, in order.
+
+    The rows share one seed, so each slot's element is drawn once and its
+    caches serve every row; the elements are dropped on return.
+    """
+    if len({seed for _, _, seed in rows}) > 1:
+        raise ValueError("the rows of one trial index share one seed")
+    drawn: list[RandomElement] = []
+    return [run_case(backend, tid, params, seed, drawn) for tid, params, seed in rows]
 
 
 def run_suite(
@@ -703,14 +723,17 @@ def trial_plan(
     backend, tid: str, n_trials: int, master_seed: int, params_grid: Optional[list] = None
 ) -> list[tuple[dict, int]]:
     """(params, seed) of trial i = 0..n_trials-1: row i mod len of the grid (the
-    suite's own unless ``params_grid`` is given) and derive_seed(master_seed, tid, i).
+    suite's own unless ``params_grid`` is given) and derive_seed(master_seed, i).
+
+    The seed leaves out the theorem id, so trial i of every suite draws the
+    same elements.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1 for {tid}")
     grid = params_grid if params_grid is not None else REGISTRY[tid].params_fn(backend)
     if not grid:
         raise ValueError(f"empty parameter grid for {tid}")
-    return [(grid[i % len(grid)], derive_seed(master_seed, tid, i)) for i in range(n_trials)]
+    return [(grid[i % len(grid)], derive_seed(master_seed, i)) for i in range(n_trials)]
 
 
 def summarize_cases(tid: str, cases: Sequence[TheoremCase]) -> RatioSummary:

@@ -147,9 +147,13 @@ def test_default_config_covers_registry():
 def test_verify_deterministic_across_worker_counts(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    # R9 and R18 run Fock-basis passes on tables the forked workers inherit
-    base = small_config("PLACEHOLDER", trials=6, suites=("R2", "R9", "R15", "R18"))
+    # R9 and R18 run Fock-basis passes on tables the forked workers inherit;
+    # R1 draws two elements, and unequal trial counts give per-index tasks of
+    # different sizes (5, 4, 3 and 2 rows)
+    base = small_config("PLACEHOLDER", trials=6, suites=("R1", "R2", "R9", "R15", "R18"))
     payload = json.loads(base.to_json())
+    for suite, trials in zip(payload["suites"], (3, 6, 4, 6, 5)):
+        suite["n_trials"] = trials
     for out, workers, sub in ((out1, "1", "a"), (out2, "2", "b")):
         payload["out_dir"] = str(out)
         cfg_path.write_text(json.dumps(payload))
@@ -159,6 +163,27 @@ def test_verify_deterministic_across_worker_counts(tmp_path):
     assert (out1 / "summaries.json").read_bytes() == (out2 / "summaries.json").read_bytes()
 
 
+def test_verify_draws_each_trial_index_once(tmp_path, monkeypatch):
+    # trial i of every suite reads the same elements: 4 indices x 2 slots (R1
+    # has two), where a draw per suite and trial would make 16
+    seeds = []
+    draw = harness.Backend.sample_element
+
+    def counted(backend, seed):
+        seeds.append(seed)
+        return draw(backend, seed)
+
+    monkeypatch.setattr(harness.Backend, "sample_element", counted)
+    monkeypatch.setenv("QEUCLID_WORKERS", "1")
+    assert cmd_verify(small_config(tmp_path / "out", trials=4, suites=("R1", "R2", "R15"))) == 0
+    assert len(seeds) == len(set(seeds)) == 8
+    with open(tmp_path / "out" / "cases.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["theorem"] for r in rows] == ["R1"] * 4 + ["R2"] * 4 + ["R15"] * 4
+    for trial in "0123":
+        assert len({r["seed"] for r in rows if r["trial"] == trial}) == 1
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(small_config(tmp_path / "ignored", trials=2, suites=("R15",)).to_json())
@@ -166,6 +191,31 @@ def test_cli_seed_and_out_overrides(tmp_path):
     res = run_cli(["verify", "--config", str(cfg_path), "--seed", "5", "--out", str(out)])
     assert res.returncode == 0, res.stderr
     assert json.loads((out / "config.json").read_text())["master_seed"] == 5
+
+
+BLAS_THREADS_PROBE = """
+import ctypes, glob, os
+import qeuclid.cli
+import numpy
+
+libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs", "*openblas*"))
+get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+print(get() if get is not None else "absent")
+"""
+
+
+def test_import_pins_blas_to_one_thread():
+    # the pin must run before numpy loads OpenBLAS, which reads the thread
+    # variables once, so setting them in qeuclid.cli after `import qeuclid` is too late
+    env = cli_env()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS"):
+        env.pop(var, None)
+    res = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    if res.stdout.strip() == "absent":
+        pytest.skip("numpy does not bundle scipy-openblas")
+    assert res.stdout.strip() == "1"
 
 
 def test_probe_quantize_roundtrip():

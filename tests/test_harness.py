@@ -14,8 +14,10 @@ from qeuclid.harness import (
     fit_decay_slope,
     registry_ids,
     run_case,
+    run_index,
     run_suite,
     sobolev_scale_sweep,
+    trial_plan,
 )
 from qeuclid import calculus
 from qeuclid.calculus import constant_symbol, heat_symbol
@@ -126,6 +128,44 @@ def test_r8_reduces_to_r5_and_r2(small_backend):
     assert r8_high.ratio == pytest.approx(r2.ratio, rel=1e-6)
 
 
+@pytest.mark.parametrize("backend_name", ["small_backend", "classical_backend"])
+def test_r2_and_r4_at_two_are_reciprocal(request, backend_name):
+    # at p = 2 both read Plancherel, from opposite sides; on one trial index
+    # they share the element, so their ratios multiply to 1
+    backend = request.getfixturevalue(backend_name)
+    seed = trial_plan(backend, "R2", 1, 5)[0][1]
+    r2, r4 = run_index(backend, [("R2", {"p": 2.0}, seed), ("R4", {"p": 2.0}, seed)])
+    assert abs(r2.ratio * r4.ratio - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [4.0 / 3.0, 1.5])
+def test_r8_at_r_equal_p_is_r5(small_backend, p):
+    # at r = p, R8's weight exponent r(1/r - 1/p') and level power 1/r - 1/p'
+    # are R5's 2 - p and (2 - p)/p, on the same element
+    seed = trial_plan(small_backend, "R5", 1, 5)[0][1]
+    r5, r8 = run_index(small_backend, [("R5", {"p": p}, seed), ("R8", {"p": p, "r": p}, seed)])
+    assert abs(r8.ratio / r5.ratio - 1.0) <= 1e-13
+
+
+def test_run_index_shares_draws(small_backend, monkeypatch):
+    seeds = []
+    draw = Backend.sample_element
+
+    def counted(backend, seed):
+        seeds.append(seed)
+        return draw(backend, seed)
+
+    monkeypatch.setattr(Backend, "sample_element", counted)
+    seed = trial_plan(small_backend, "R1", 1, 3)[0][1]
+    rows = [("R2", {"p": 2.0}, seed), ("R1", {}, seed), ("R4", {"p": 3.0}, seed)]
+    cases = run_index(small_backend, rows)
+    assert seeds == [derive_seed(seed, "element", 0), derive_seed(seed, "element", 1)]
+    for case, (tid, params, _) in zip(cases, rows):
+        assert case.ratio == run_case(small_backend, tid, params, seed).ratio
+    with pytest.raises(ValueError, match="share one seed"):
+        run_index(small_backend, [("R2", {"p": 2.0}, seed), ("R4", {"p": 2.0}, seed + 1)])
+
+
 SCALE_INVARIANT_IDS = ["R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R11", "R12", "R14", "R15", "R18"]
 
 
@@ -165,7 +205,7 @@ def test_registry_ids_complete():
 def test_suite_single_trial_matches_case(small_backend):
     params = REGISTRY["R2"].params_fn(small_backend)
     cases, summary = run_suite(small_backend, "R2", 1, 99, params_grid=params)
-    case = run_case(small_backend, "R2", params[0], derive_seed(99, "R2", 0))
+    case = run_case(small_backend, "R2", params[0], trial_plan(small_backend, "R2", 1, 99, params)[0][1])
     assert cases[0].ratio == case.ratio
     assert summary.trials == 1 and summary.fitted_constant == case.ratio
 
