@@ -8,6 +8,7 @@ fixed, seed-derived way regardless of the pool layout.
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -206,8 +207,14 @@ def cmd_verify(cfg: RunConfig) -> int:
             # gets BLAS's own threads.  A pthreads OpenBLAS (numpy's wheels) is
             # still fork-safe; a BLAS on GNU OpenMP can hang the workers, and
             # its callers should run with QEUCLID_WORKERS=1.
-            with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
-                results = list(pool.map(_worker_task, tasks))
+            # The workers' garbage collections skip the frozen objects they
+            # inherit, so they do not write to (and copy) the pages holding them.
+            gc.freeze()
+            try:
+                with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
+                    results = list(pool.map(_worker_task, tasks))
+            finally:
+                gc.unfreeze()
     except RuntimeError as exc:
         # a dead pool worker (BrokenProcessPool), a failed trace-weight
         # validation or an element draw that never passed its gate

@@ -77,6 +77,17 @@ def derive_seed(master_seed: int, *parts) -> int:
 # Elements and backends
 # ---------------------------------------------------------------------------
 
+# glibc hands the top of its heap back to the system once more than its trim
+# threshold lies free there, and the next allocation faults those pages back
+# in.  Trials allocate and free many arrays of 32-64 KiB, so whether a
+# classical call paid ~10^4 page faults or ~300 turned on where the heap top
+# happened to fall, which moved with the length of the output path.  Freeing
+# one mmapped block raises glibc's dynamic mmap threshold to its size and the
+# trim threshold to twice that, as large frees in a running program do anyway;
+# other allocators ignore it.  1 MiB ends the faults; 256 KiB does not, and
+# 4 MiB moves arrays up to that size onto the heap, which raised the peak RSS.
+_ALLOCATOR_SETTLE_BYTES = 1 << 20
+
 
 @dataclass
 class RandomElement:
@@ -166,8 +177,10 @@ class Backend:
         return RandomElement(symbol=gx, payload=self._payload(gx, None), spec=el.spec)
 
     def build_tables(self) -> None:
-        """Build the cached tables the trials read (none here); verify calls it before
-        its pool forks, so the workers inherit them."""
+        """Build the cached tables the trials read (none here) and settle the
+        allocator's trim threshold (see above); verify calls it before its pool
+        forks, so the workers inherit them."""
+        np.empty(_ALLOCATOR_SETTLE_BYTES, dtype=np.uint8)
 
     def fourier_grid(self) -> SymbolGrid:
         return SymbolGrid(self.dim, self.half_width, self.n, np.zeros((self.n,) * self.dim))
@@ -211,13 +224,16 @@ class MoyalBackend(Backend):
         return RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
 
     def build_tables(self) -> None:
-        """The trace-weight check, the quantization tables of the window and the
-        tables of the Fock-basis passes."""
+        """The trace-weight check, the quantization tables of the window, the
+        tables of the Fock-basis passes, and the modules ``quantize`` imports
+        on first use (a worker would otherwise import them on every call)."""
+        super().build_tables()
         N = self.fock_dim
         weyl._validate_trace_weight(self.theta.h, N)
         weyl._radial_tables(self.theta.h, self.half_width, self.n, N)
         calculus._gauss_laguerre(N)
         calculus._jacobi_eigen(N, calculus.BESSEL_INNER_FACTOR * N)
+        import scipy.sparse  # noqa: F401  (after the builds, whose transients set the peak RSS)
 
     def _payload(self, f, boundary_gate):
         return quantize(f, self.theta, self.fock_dim, boundary_gate=boundary_gate)

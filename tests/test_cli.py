@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import importlib
 import json
 import os
@@ -182,6 +183,26 @@ def test_verify_draws_each_trial_index_once(tmp_path, monkeypatch):
     assert [r["theorem"] for r in rows] == ["R1"] * 4 + ["R2"] * 4 + ["R15"] * 4
     for trial in "0123":
         assert len({r["seed"] for r in rows if r["trial"] == trial}) == 1
+
+
+def test_verify_pool_workers_inherit_frozen_objects(tmp_path, monkeypatch):
+    # the workers' collections skip the objects they inherit, so they do not
+    # copy the pages holding them; the parent unfreezes once the pool is done
+    log = tmp_path / "freeze_counts"
+    run_index = harness.run_index
+
+    def logged(backend, rows):
+        with open(log, "a") as fh:
+            fh.write(f"{gc.get_freeze_count()}\n")
+        return run_index(backend, rows)
+
+    monkeypatch.setattr(harness, "run_index", logged)
+    monkeypatch.setenv("QEUCLID_WORKERS", "2")
+    before = gc.get_freeze_count()
+    assert cmd_verify(small_config(tmp_path / "out", trials=3)) == 0
+    counts = [int(c) for c in log.read_text().split()]
+    assert len(counts) == 3 and min(counts) > before
+    assert gc.get_freeze_count() == before
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
