@@ -6,9 +6,14 @@ For each window (N, n) it starts ``REPEATS`` fresh processes.  Each one
 imports ``qeuclid`` from ``--src``, runs the trace-weight check, and then
 times with ``time.perf_counter``:
 
-- the first ``quantize`` of the window, which builds its cached tables;
+- the first ``quantize`` of the window, which builds its cached tables, and
+  ``table_mb``, the bytes those tables hold;
 - ``CALLS`` further calls each of ``quantize``, ``dequantize`` and
   ``spectra.singular_profile``;
+- ``CALLS`` calls of ``MoyalBackend.norm`` at p = 2 and at p = 4, each on an
+  element whose singular values are not cached yet;
+- ``CALLS`` calls of ``MoyalBackend.sample_element``, on the seeds
+  ``derive_seed(1, i)``, the same draws on every tree;
 - ``CALLS`` calls of ``MoyalBackend.apply`` for each multiplier in
   ``MULTIPLIERS`` (heat at t = 1 and t = 20, Bessel at s = 1, d/dx1), each
   on a fresh element whose transform is not cached yet, after one untimed
@@ -41,6 +46,7 @@ file are kept, so two source trees can be measured into one file.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -69,7 +75,7 @@ VERIFY_RUNS = (("moyal", 1), ("moyal", 2), ("classical", 1), ("classical", 2))
 def measure(N: int, n: int) -> dict:
     """One window in this process; call it only in a fresh one."""
     from qeuclid import calculus, spectra, weyl
-    from qeuclid.harness import MoyalBackend, RandomElement
+    from qeuclid.harness import MoyalBackend, RandomElement, derive_seed
     from qeuclid.symbols import sample_symbol
 
     # weyl imports scipy.special lazily; load it here so the first quantize times the build alone
@@ -105,8 +111,23 @@ def measure(N: int, n: int) -> dict:
 
         fresh_apply()
         out[key] = statistics.median(timed(fresh_apply)[0] for _ in range(CALLS)) * 1e3
+    for p in (2, 4):
+        fresh = [RandomElement(el.symbol, el.payload, el.spec) for _ in range(CALLS)]
+        out[f"norm_p{p}_ms"] = statistics.median(timed(lambda: backend.norm(e, p))[0] for e in fresh) * 1e3
+    draws = [timed(lambda: backend.sample_element(derive_seed(1, i)))[0] for i in range(CALLS)]
+    out["sample_element_ms"] = statistics.median(draws) * 1e3
+    out["table_mb"] = table_bytes(weyl._radial_tables(H, HALF_WIDTH, n, N)) / 1e6
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
+
+
+def table_bytes(tables) -> int:
+    """Bytes of the arrays a window's cached table object holds, in any of its fields."""
+    total = 0
+    for field in dataclasses.fields(tables):
+        value = getattr(tables, field.name)
+        total += sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
+    return total
 
 
 def measure_verify(backend: str, workers: int) -> dict:

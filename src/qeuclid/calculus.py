@@ -259,12 +259,22 @@ def _on_diagonals(x: np.ndarray, op: Callable[[np.ndarray], np.ndarray]) -> np.n
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def _heat_basis(N: int, tau: float) -> np.ndarray:
+    """Q[alpha, k, j] = sqrt(w_j) p_k(u_j / (1 + tau)), read-only.
+
+    A call of a suite runs the heat flow at one time on many elements; two
+    entries (2 MB each at N = 64) serve it without growing a worker."""
+    u, root_w = _gauss_laguerre(N)
+    Q = _laguerre_values(u / (1.0 + tau), root_w).transpose(1, 0, 2)
+    Q.setflags(write=False)
+    return Q
+
+
 def _heat(x: np.ndarray, t: float, h: float) -> np.ndarray:
     N = x.shape[0]
     tau = 2.0 * t / h
-    u, root_w = _gauss_laguerre(N)
-    # Q[alpha, k, j] = sqrt(w_j) p_k(u_j / (1 + tau))
-    Q = _laguerre_values(u / (1.0 + tau), root_w).transpose(1, 0, 2)
+    Q = _heat_basis(N, tau)
     scale = (1.0 + tau) ** -(np.arange(N) + 1.0)
     return _on_diagonals(x, lambda X: Q @ (scale[:, None, None] * (Q.transpose(0, 2, 1) @ X)))
 

@@ -123,10 +123,14 @@ class Backend:
     def sample_element(self, seed: int) -> RandomElement:
         """Random finite Gaussian mixture, redrawn until the boundary gate passes.
 
-        Component law: 1..3 Gaussians, centers in the ball |c| <= L/4, widths
+        Proposal law: 1..3 Gaussians, centers in the ball |c| <= L/4, widths
         uniform in [width_floor, 2], complex amplitudes with modulus in
         [0.3, 1].  Mixtures incompatible with the boundary gate are rejected
-        by redrawing the whole mixture, deterministically in the seed.
+        by redrawing the whole mixture, deterministically in the seed, so the
+        accepted law is the proposal truncated by the gate: on the Moyal
+        window (L = 8) the gate accepts no width above ~1.16 for a centred
+        component (~0.87 at |c| = 2), and most draws take several attempts.
+        The classical window (L = 64) rejects none.
         """
         rng = np.random.default_rng(seed)
         L, d = self.half_width, self.dim
@@ -234,6 +238,19 @@ class MoyalBackend(Backend):
         calculus._gauss_laguerre(N)
         calculus._jacobi_eigen(N, calculus.BESSEL_INNER_FACTOR * N)
         import scipy.sparse  # noqa: F401  (after the builds, whose transients set the peak RSS)
+
+    def norm(self, el: RandomElement, p: float) -> float:
+        """The Schatten p-norm; at p = 2 and 4 from the matrix, with no SVD.
+
+        ||x||_2 = (c sum |x_mn|^2)^(1/2) and ||x||_4 = (c ||x^* x||_F^2)^(1/4).
+        The rule holds for every element, whether or not its profile is cached,
+        so a row's value never depends on the rows before it.
+        """
+        if p not in (2.0, 4.0):
+            return super().norm(el, p)
+        x = el.payload
+        m = x.matrix if p == 2.0 else x.matrix.conj().T @ x.matrix
+        return float((x.trace_weight * np.vdot(m, m).real) ** (1.0 / p))
 
     def _payload(self, f, boundary_gate):
         return quantize(f, self.theta, self.fock_dim, boundary_gate=boundary_gate)
@@ -358,7 +375,7 @@ def _r5(backend, params, els):
 def _r6(backend, params, els):
     (x,) = els
     p, beta = params["p"], params["beta"]
-    phi = 1.0 + symbols._radius_sq(symbols.grid_meshes(backend.fourier_grid()))
+    phi = 1.0 + symbols._radius_sq(backend._meshes)
     lhs = _weighted_lp(backend.fourier(x), phi ** (beta * (p - 2)), p)
     return lhs, backend.norm(x, p)
 
@@ -367,7 +384,7 @@ def _r7(backend, params, els):
     (x,) = els
     p, beta = params["p"], params["beta"]
     pp = conjugate_exponent(p)
-    phi = 1.0 + symbols._radius_sq(symbols.grid_meshes(backend.fourier_grid()))
+    phi = 1.0 + symbols._radius_sq(backend._meshes)
     # p-th roots of both sides keep the ratio scale-invariant
     rhs = _weighted_lp(backend.fourier(x), phi ** (beta * p * (2 - pp) / pp), p)
     return backend.norm(x, p), rhs

@@ -21,9 +21,11 @@ U_mn(t) = e^{i(m-n) phi(t)} R_mn(|alpha(t)|) with R real (Cahill-Glauber),
 instead of a dense stack of every U(t_k).  Radii repeat on the midpoint grid
 (398 distinct among 4096 nodes at n = 64), so quantize sums f_k dV e^{i d phi_k}
 over the nodes of each radius and applies one real (radii x (N - |d|)) block
-per diagonal d = m - n; dequantize is the transpose.  The cached tables of a
-window hold radii x N(N+1)/2 reals and an (n^2 x (2N-1)) phase table: 15 MB at
-(N, n) = (64, 64), where the dense stack took 268 MB.
+per diagonal d = m - n; dequantize is the transpose.  The angular sums run
+over the grid's D4 orbits (528 at n = 64), each folded by a 4-point DFT.  The
+cached tables of a window hold radii x N(N+1)/2 reals and a phase table of
+2 x orbits x (2N-1) complex: 8.8 MB at (N, n) = (64, 64), where the dense
+stack took 268 MB.
 
 Matrix-element generation notes: the naive two-term column recurrence for
 displacement entries is violently unstable once |alpha|^2 exceeds ~25 (the
@@ -38,7 +40,6 @@ several hundred.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -188,23 +189,38 @@ def displacement_matrix(theta: DeformationMatrix, t, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # With alpha = r e^{i phi}, <m|D(alpha)|n> = e^{i(m-n) phi} R_mn(r), where
-# R_mn(r) = <m|D(r)|n> is real.  Node (i, j) of the midpoint grid has
-# r = sqrt(h/2) (L/n) sqrt(k) with the exact integer key
-# k = (2i-n+1)^2 + (2j-n+1)^2, so the nodes are grouped by k.  quantize forms
-# the angular sums G_d(r) = sum_{|alpha_k| = r} f_k dV e^{i d phi_k}, then
+# R_mn(r) = <m|D(r)|n> is real.  Node (i, j) of the midpoint grid sits at
+# alpha = sqrt(h/2) (L/n) (X + iY) with the integers X = n-1-2j, Y = 2i-n+1,
+# so the nodes are grouped by the exact key X^2 + Y^2.  quantize forms the
+# angular sums G_d(r) = sum_{|alpha_k| = r} f_k dV e^{i d phi_k}, then
 # x_d = R_d^T G_d on each diagonal d = m - n; dequantize forms H_d = R_d x_d,
 # then x_hat_k = c sum_d e^{-i d phi_k} H_d(r_k).  D(r)^T = D(-r) gives
 # R_{-d} = (-1)^d R_d, so one block serves the diagonals d and -d.
+#
+# The grid is symmetric under the dihedral group D4 (alpha -> i alpha and
+# alpha -> conj alpha), which keeps r.  An orbit with base X + iY, 0 <= Y <= X,
+# holds the members (s, k) at i^k (X + iY) for s = + and i^k (X - iY) for
+# s = -, at angles +-phi0 + k pi/2, so e^{i d phi} = e^{+-i d phi0} i^{dk}.
+# Its share of G_d is therefore sum_s e^{+-i d phi0} F^s[d mod 4], with F^s the
+# 4-point DFT of the orbit's weights, and dequantize reads the member (s, k) as
+# c sum_m i^{-mk} Y^s[m], Y^s[m] = sum_{d = m mod 4} e^{-+i d phi0} H_d(r).
+# Orbits on the diagonals Y = X, on the axes (Y = 0, odd n) and the centre
+# (odd n) have 4, 4 and 1 distinct members; their repeated slots are empty.
+# The phase table holds e^{+-i d phi0} per orbit, with the diagonals folded by
+# their residue: row (b, o, s), column j holds d = 4j + b - (N-1), and is 0
+# past d = N-1.  The orbit-to-radius sum of quantize is one sparse product.
 
 
 @dataclass(frozen=True)
 class _RadialTables:
     """Tables of one (h, half_width, n, N) window; node k = i1 * n + i2."""
 
-    order: np.ndarray  # nodes sorted by radius key
     radii: np.ndarray  # the distinct |alpha|, ascending
-    indptr: np.ndarray  # radius g holds sorted positions indptr[g]:indptr[g + 1]
-    phases: np.ndarray  # (n*n, 2N-1) in sorted order: e^{i d phi}, column d + N - 1
+    orbit_radius: np.ndarray  # (orbits,) radius index of each orbit, non-decreasing
+    members: np.ndarray  # (orbits, 2, 4) node of the member (s, k); n*n for an empty slot
+    dft: np.ndarray  # (4, 4): dft[k, b] = i^{k m_b}, m_b = (b - N + 1) mod 4
+    phases: np.ndarray  # (4 * orbits * 2, ceil((2N-1)/4)) folded e^{+-i d phi0}, rows (b, o, s)
+    csr_indptr: np.ndarray  # row (b, g) of the orbit-to-radius sum holds the columns (b, o, s) of radius g
     blocks: tuple  # blocks[d] = R on the diagonal m - n = d >= 0, shape (radii, N - d)
 
 
@@ -213,17 +229,30 @@ class _RadialTables:
 @functools.lru_cache(maxsize=2)
 def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables:
     a = 2 * np.arange(n) - n + 1
-    key = (a[:, None] ** 2 + a[None, :] ** 2).ravel()
-    order = np.argsort(key, kind="stable")
-    keys, counts = np.unique(key[order], return_counts=True)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
+    base = a[a >= 0]
+    X, Y = (v.ravel() for v in np.meshgrid(base, base, indexing="ij"))
+    X, Y = X[Y <= X], Y[Y <= X]
+    order = np.argsort(X**2 + Y**2, kind="stable")
+    X, Y = X[order], Y[order]
+    keys, orbit_radius, per_radius = np.unique(X**2 + Y**2, return_inverse=True, return_counts=True)
+    O = X.size
 
-    s = axis_nodes(half_width, n)
-    alphas = (np.sqrt(h / 2.0) * (-s[None, :] + 1j * s[:, None])).ravel()[order]
-    absa = np.abs(alphas)
-    u = alphas / np.where(absa > 0, absa, 1.0)
-    pows = np.cumprod(np.broadcast_to(u[:, None], (n * n, N - 1)), axis=1)  # e^{i d phi}, d = 1..N-1
-    phases = np.concatenate([np.conj(pows[:, ::-1]), np.ones((n * n, 1)), pows], axis=1)
+    # member (s, k): i^k (X + iY) for s = 0, i^k (X - iY) for s = 1
+    mx = np.stack([X, -Y, -X, Y, X, Y, -X, -Y], axis=1).reshape(O, 2, 4)
+    my = np.stack([Y, X, -Y, -X, -Y, X, Y, -X], axis=1).reshape(O, 2, 4)
+    members = (my + n - 1) // 2 * n + (n - 1 - mx) // 2
+    members[(Y == 0) | (Y == X), 1] = n * n  # s = - repeats s = + on the axes and diagonals
+    members[X == 0, 0, 1:] = n * n  # the centre
+
+    J = -(-(2 * N - 1) // 4)
+    t = np.arange(4 * J).reshape(J, 4).T[:, None, None, :]  # t[b, j] = 4j + b = d + N - 1
+    signed_phi = np.arctan2(Y, X)[:, None, None] * np.array([1.0, -1.0])[:, None]  # (o, s, 1)
+    phases = np.where(t <= 2 * N - 2, np.exp(1j * (t - (N - 1)) * signed_phi), 0.0).reshape(8 * O, J)
+
+    m = (np.arange(4) - (N - 1)) % 4
+    dft = 1j ** ((np.arange(4)[:, None] * m[None, :]) % 4)
+    starts = 2 * np.concatenate([[0], np.cumsum(per_radius)])
+    csr_indptr = np.concatenate([b * 2 * O + starts[:-1] for b in range(4)] + [[8 * O]])
 
     radii = np.sqrt(h / 2.0) * (half_width / n) * np.sqrt(keys)
     blocks = tuple(np.empty((radii.size, N - d)) for d in range(N))
@@ -236,9 +265,9 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
         R = _displacement_block(radii[start : start + batch], N).real  # U is real at alpha = r
         for d, blk in enumerate(blocks):
             blk[start : start + batch] = np.diagonal(R, -d, axis1=1, axis2=2)
-    for arr in (order, radii, indptr, phases, *blocks):
+    for arr in (radii, orbit_radius, members, dft, phases, csr_indptr, *blocks):
         arr.setflags(write=False)
-    return _RadialTables(order, radii, indptr, phases, blocks)
+    return _RadialTables(radii, orbit_radius, members, dft, phases, csr_indptr, blocks)
 
 
 def _diagonal_slices(N: int, d: int) -> tuple[slice, slice]:
@@ -344,10 +373,17 @@ def quantize(
     from scipy.sparse import csr_array
 
     tab = _radial_tables(theta.h, f.half_width, f.points_per_axis, N)
-    w = (f.samples.ravel() * f.cell_volume)[tab.order]
-    sums = csr_array((w, np.arange(w.size), tab.indptr), shape=(tab.radii.size, w.size)) @ tab.phases
-    # G_d(r) per diagonal as a contiguous (radii, 2) real array
-    G = np.ascontiguousarray(sums.T).view(float).reshape(2 * N - 1, -1, 2)
+    O, J = tab.orbit_radius.size, tab.phases.shape[1]
+    radii = tab.radii.size
+    # slot n*n (an empty member) reads 0; F[o, s, b] is the 4-point DFT of the orbit's weights
+    w = np.append(f.samples.ravel() * f.cell_volume, 0.0)
+    F = (w[tab.members].reshape(2 * O, 4) @ tab.dft).reshape(O, 2, 4)
+    orbit_sums = csr_array(
+        (F.transpose(2, 0, 1).ravel(), np.arange(8 * O), tab.csr_indptr), shape=(4 * radii, 8 * O)
+    )
+    # rows (b, g), column j -> G_d(r_g) in row d + N - 1 = 4j + b, as a (radii, 2) real array
+    G = np.ascontiguousarray((orbit_sums @ tab.phases).reshape(4, radii, J).transpose(2, 0, 1))
+    G = G.view(float).reshape(4 * J, radii, 2)
     vec = np.empty(N * N, dtype=complex)
     out = vec.view(float).reshape(N * N, 2)
     for d, R in enumerate(tab.blocks):
@@ -366,23 +402,22 @@ def dequantize(
     tab = _radial_tables(x.theta.h, half_width, n, N)
     # np.asarray in QuantizedOperator keeps strided views; the real view needs unit stride
     xv = np.ascontiguousarray(x.matrix).reshape(N * N).view(float).reshape(N * N, 2)
-    # H_d(r) = R_d x_d per diagonal, row d + N - 1 of a (2N-1, radii) array
-    H = np.empty((2 * N - 1, tab.radii.size), dtype=complex)
-    Hv = H.view(float).reshape(2 * N - 1, -1, 2)
+    O, J = tab.orbit_radius.size, tab.phases.shape[1]
+    # H_d(r) = R_d x_d per diagonal, row d + N - 1 of a (4J, radii) array; the padding rows stay 0
+    H = np.zeros((4 * J, tab.radii.size), dtype=complex)
+    Hv = H.view(float).reshape(4 * J, -1, 2)
     for d, R in enumerate(tab.blocks):
         lower, upper = _diagonal_slices(N, d)
         Hv[N - 1 + d] = R @ xv[lower]
         if d:
             Hv[N - 1 - d] = (-1) ** d * (R @ xv[upper])
-    # Tr(x U^dag) = sum_d e^{-i d phi} H_d(r) = conj(sum_d e^{i d phi} conj(H_d(r))),
-    # one matrix-vector product per radius
-    Hc = np.ascontiguousarray(np.conj(H).T)
-    sums = np.empty(n * n, dtype=complex)
-    for g, (a, b) in enumerate(itertools.pairwise(tab.indptr.tolist())):
-        np.matmul(tab.phases[a:b], Hc[g], out=sums[a:b])
-    vals = np.empty(n * n, dtype=complex)
-    vals[tab.order] = x.trace_weight * np.conj(sums)
-    return SymbolGrid(2, half_width, n, vals.reshape(n, n))
+    # Y[b, o, s] = sum_j e^{+-i d phi0} H_d(r_o), d = 4j + b - (N-1), which the members
+    # (-s, k) read: x_hat = c sum_b i^{-k m_b} Y[b, o, s]
+    Hg = H.reshape(J, 4, -1).transpose(1, 2, 0)[:, tab.orbit_radius, :, None]
+    Y = (tab.phases.reshape(4, O, 2, J) @ Hg).reshape(4, 2 * O)
+    vals = np.empty(n * n + 1, dtype=complex)  # the empty slots all land in the last entry
+    vals[tab.members[:, ::-1]] = x.trace_weight * (Y.T @ tab.dft.conj().T).reshape(O, 2, 4)
+    return SymbolGrid(2, half_width, n, vals[:-1].reshape(n, n))
 
 
 def trace_tau(x: QuantizedOperator) -> complex:

@@ -362,3 +362,16 @@ def test_fock_pass_refuses_other_families(x):
     for axis in (2, -1):
         with pytest.raises(ValueError, match="axis must be 0 or 1"):
             derivative_symbol(axis)
+
+
+def test_heat_basis_cache_is_bitwise_neutral(backend, x):
+    # the heat pass reads its Gauss-Laguerre basis from a two-entry cache
+    N, tau = x.payload.fock_dim, 2.0 * 1.0 / x.payload.theta.h
+    calculus._heat_basis.cache_clear()
+    cold = calculus.fock_pass(heat_symbol(1.0), x.payload).matrix
+    warm = calculus.fock_pass(heat_symbol(1.0), x.payload).matrix
+    assert calculus._heat_basis.cache_info().hits == 1
+    assert np.array_equal(cold, warm)
+    Q = calculus._heat_basis(N, tau)
+    assert not Q.flags.writeable
+    assert np.array_equal(Q, calculus._heat_basis.__wrapped__(N, tau))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
-from qeuclid import harness
+from qeuclid import harness, spectra
 from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main, make_backend
 
 
@@ -351,3 +351,19 @@ def test_verify_exits_one_when_a_worker_dies(tmp_path):
             proc.wait()
     assert proc.returncode == 1, err
     assert "verify error" in err and "Traceback" not in err
+
+
+def test_verify_takes_two_norms_without_an_svd(tmp_path, monkeypatch):
+    # R18 reads ||x||_2, ||d1 x||_2, ||d2 x||_2 and ||x||_1: only the 1-norm
+    # needs singular values, one SVD per trial where the profile path took 3
+    calls = []
+    profile = spectra.singular_profile
+
+    def counted(x):
+        calls.append(x)
+        return profile(x)
+
+    monkeypatch.setattr(spectra, "singular_profile", counted)
+    monkeypatch.setenv("QEUCLID_WORKERS", "1")
+    assert cmd_verify(small_config(tmp_path / "out", trials=4, suites=("R18",))) == 0
+    assert len(calls) == 4

@@ -19,7 +19,7 @@ from qeuclid.harness import (
     sobolev_scale_sweep,
     trial_plan,
 )
-from qeuclid import calculus
+from qeuclid import calculus, spectra
 from qeuclid.calculus import constant_symbol, heat_symbol
 from qeuclid.errors import DomainError
 from qeuclid.weyl import QuantizedOperator
@@ -380,3 +380,30 @@ def test_decay_envelope_peaks_inside_grid(small_backend):
     k = int(np.argmax(env))
     assert 0 < k < len(ts) - 1
     assert np.isfinite(env).all()
+
+
+def _svd_norm(el, p):
+    return spectra.schatten_norm(spectra.singular_profile(el.payload), p)
+
+
+def test_moyal_norm_two_and_four_match_svd(small_backend, theta):
+    # MoyalBackend.norm takes p = 2 and 4 from the matrix; the SVD profile is the oracle
+    b = small_backend
+    N = b.fock_dim
+    els = [b.sample_element(derive_seed(5, i)) for i in range(3)]
+    x = els[0]
+    for g in (heat_symbol(1.0), heat_symbol(20.0), calculus.bessel_symbol(1.0), calculus.derivative_symbol(0)):
+        els.append(b.apply(g, x))
+    rng = np.random.default_rng(7)
+    low_rank = rng.normal(size=(N, 3)) @ (rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N)))
+    els.append(RandomElement(None, QuantizedOperator(N, low_rank, theta, theta.trace_weight), {}))
+    for el in els:
+        for p in (2.0, 4.0):
+            assert b.norm(el, p) == pytest.approx(_svd_norm(el, p), rel=1e-13, abs=0)
+    zero = RandomElement(None, QuantizedOperator(N, np.zeros((N, N)), theta, theta.trace_weight), {})
+    assert b.norm(zero, 2.0) == b.norm(zero, 4.0) == _svd_norm(zero, 4.0) == 0.0
+    # a cached profile does not change the rule
+    fresh = b.sample_element(derive_seed(5, 9))
+    before = [b.norm(fresh, p) for p in (2.0, 4.0)]
+    b.profile(fresh)
+    assert [b.norm(fresh, p) for p in (2.0, 4.0)] == before

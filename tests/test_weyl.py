@@ -310,6 +310,18 @@ def test_radial_tables_match_direct_sums(n, N, h, L, seed):
         assert np.array_equal(dequantize(xs, L, m).samples, dequantize(x, L, m).samples)
 
 
+def _member_radius_error(theta, n, tab):
+    """Largest relative gap between each member's |alpha| and its orbit's radius."""
+    # axis_nodes rounds at ulp(L) near the centre; (L/n)(2i-n+1) rounds relatively
+    s = (8.0 / n) * (2 * np.arange(n) - n + 1)
+    assert np.abs(s - axis_nodes(8.0, n)).max() <= 4 * np.spacing(8.0)
+    alphas = np.array([abs(theta.alpha((s[i], s[j]))) for i in range(n) for j in range(n)])
+    full = tab.members < n * n
+    per_member = np.broadcast_to(tab.radii[tab.orbit_radius][:, None, None], full.shape)[full]
+    gap = np.abs(alphas[tab.members[full]] - per_member)
+    return float(np.max(gap / np.where(per_member > 0, per_member, 1.0)))
+
+
 @pytest.mark.parametrize("n, radii", [(64, 398), (96, 854)])
 def test_radius_groups(n, radii):
     # the integer key (2i-n+1)^2 + (2j-n+1)^2 groups the nodes by |alpha|
@@ -317,12 +329,24 @@ def test_radius_groups(n, radii):
     tab = weyl._radial_tables(theta.h, 8.0, n, 2)
     assert tab.radii.size == radii
     assert np.all(np.diff(tab.radii) > 0)
-    # axis_nodes rounds at ulp(L) near the centre; (L/n)(2i-n+1) rounds relatively
-    s = (8.0 / n) * (2 * np.arange(n) - n + 1)
-    assert np.abs(s - axis_nodes(8.0, n)).max() <= 4 * np.spacing(8.0)
-    alphas = np.array([abs(theta.alpha((s[i], s[j]))) for i in range(n) for j in range(n)])
-    per_node = np.repeat(tab.radii, np.diff(tab.indptr))
-    assert np.all(np.abs(alphas[tab.order] - per_node) <= 1e-15 * per_node)
+    assert np.all(np.diff(tab.orbit_radius) >= 0)
+    assert _member_radius_error(theta, n, tab) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
+def test_orbit_tables(n):
+    # each D4 orbit of the midpoint grid holds 1, 4 or 8 nodes of one radius,
+    # and the orbits partition the grid
+    theta = DeformationMatrix.canonical(1.0)
+    tab = weyl._radial_tables(theta.h, 8.0, n, 3)
+    full = tab.members < n * n
+    assert np.array_equal(np.sort(tab.members[full]), np.arange(n * n))
+    sizes = full.sum(axis=(1, 2))
+    assert set(sizes.tolist()) <= {1, 4, 8}
+    assert np.count_nonzero(sizes == 1) == n % 2  # the centre, for odd n
+    assert _member_radius_error(theta, n, tab) <= 1e-15
+    if n == 64:
+        assert (tab.orbit_radius.size, np.count_nonzero(sizes == 4)) == (528, 32)
 
 
 def test_large_window_matches_direct_sums():
