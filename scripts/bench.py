@@ -78,8 +78,8 @@ def measure(N: int, n: int) -> dict:
     from qeuclid.harness import MoyalBackend, RandomElement, derive_seed
     from qeuclid.symbols import sample_symbol
 
-    # weyl imports scipy.special lazily; load it here so the first quantize times the build alone
-    import scipy.special  # noqa: F401
+    # quantize imports scipy.sparse on first use; load it here so the first quantize times the build alone
+    import scipy.sparse  # noqa: F401
 
     theta = weyl.DeformationMatrix.canonical(H)
     f = sample_symbol("gaussian", {"a": 0.5, "center": (0.5, -0.8)}, HALF_WIDTH, n, dim=2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BoundaryDecayError, DomainError
 from .symbols import SymbolGrid, _radius_sq, grid_meshes
-from .weyl import QuantizedOperator
+from .weyl import QuantizedOperator, _jacobi, _laguerre_values
 
 __all__ = [
     "MultiplierSymbol",
@@ -154,7 +154,9 @@ def apply_multiplier(g: MultiplierSymbol, xhat: SymbolGrid) -> SymbolGrid:
 # (the matrix basis of Gracia-Bondia and Varilly, J. Math. Phys. 29 (1988)
 # 869; the kinetic matrix of Grosse and Wulkenhaar, Commun. Math. Phys. 256
 # (2005) 305).  Its spectral measure is lambda^alpha e^-lambda / alpha!, with
-# orthonormal polynomials p_k, and g(-Lap) = g(2 J / h).
+# orthonormal polynomials p_k, and g(-Lap) = g(2 J / h).  J_alpha and the
+# recurrence for p_k are weyl._jacobi and weyl._laguerre_values, the ones the
+# displacement entries are built from.
 #
 # Heat: with tau = 2t/h, the (k, l) entry of P e^{-tau J} P is
 # int p_k p_l e^{-tau lambda} dmu = (1 + tau)^-(alpha+1) int p_k(u/(1+tau))
@@ -170,33 +172,6 @@ def apply_multiplier(g: MultiplierSymbol, xhat: SymbolGrid) -> SymbolGrid:
 # are zero.
 
 BESSEL_INNER_FACTOR = 2
-
-
-@functools.lru_cache(maxsize=2)
-def _jacobi(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b), each (k, alpha, 1): diagonal 2k + alpha + 1 and |off-diagonal| of J_alpha."""
-    k = np.arange(N, dtype=float)[:, None, None]
-    alpha = np.arange(N, dtype=float)[None, :, None]
-    return 2 * k + alpha + 1, np.sqrt((k + 1) * (k + alpha + 1))
-
-
-def _laguerre_values(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P[k, alpha, j] = c[alpha, j] p_k(lam[alpha, j]) for the L^(alpha) family at the
-    degrees k < N - alpha that the diagonal m - n = +-alpha uses; 0 for larger k."""
-    N = lam.shape[0]
-    a, b = _jacobi(N)
-    P = np.zeros((N,) + lam.shape)
-    P[0] = c
-    tmp = np.empty(lam.shape)
-    for k in range(N - 1):
-        m = N - k - 1  # the rows alpha < m use degree k + 1
-        np.subtract(a[k, :m], lam[:m], out=tmp[:m])
-        np.multiply(tmp[:m], P[k, :m], out=P[k + 1, :m])
-        if k:
-            np.multiply(b[k - 1, :m], P[k - 1, :m], out=tmp[:m])
-            P[k + 1, :m] -= tmp[:m]
-        P[k + 1, :m] /= b[k, :m]
-    return P
 
 
 @functools.lru_cache(maxsize=2)

@@ -60,6 +60,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
+        if not isinstance(payload, dict):
+            raise TypeError(f"a config must be a JSON object, got {type(payload).__name__}")
         cfg = cls(**{k: v for k, v in payload.items() if k != "suites"})
         cfg.suites = [SuiteConfig(**s) for s in payload.get("suites", [])]
         return cfg
@@ -148,7 +150,10 @@ def _worker_task(rows) -> list[harness.TheoremCase]:
 def _resolve_workers(cfg: RunConfig) -> int:
     env = os.environ.get("QEUCLID_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"QEUCLID_WORKERS must be an integer, got {env!r}") from None
     if cfg.workers > 0:
         return cfg.workers
     return max(1, os.cpu_count() or 1)
@@ -189,11 +194,11 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
 def cmd_verify(cfg: RunConfig) -> int:
     try:
         backend, tasks = cfg.plan()
+        n_workers = _resolve_workers(cfg)
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    n_workers = _resolve_workers(cfg)
     try:
         backend.build_tables()
         _worker_state["backend"] = backend

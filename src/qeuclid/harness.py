@@ -111,9 +111,18 @@ class Backend:
     A subclass keeps only its own maps: ``_payload(f, boundary_gate)`` from a
     symbol to the algebra element, ``_transform(payload)`` back to the
     transform, ``_profile(payload)`` and ``pair_trace(x, y)`` = tau(x y^*).  It
-    sets ``dim``, the window ``half_width`` and ``n``, the draw's smallest
-    component width ``width_floor`` and the heat probe's rate ``heat_rate``.
+    sets ``dim``, the draw's smallest component width ``width_floor`` and the
+    heat probe's rate ``heat_rate``, and passes its window (``half_width``,
+    ``n``) to this constructor, which refuses a window no grid can hold.
     """
+
+    def __init__(self, half_width: float, n: int):
+        if n < 1:
+            raise ValueError(f"grid points per axis must be at least 1, got {n}")
+        if not half_width > 0:
+            raise ValueError(f"grid half-width must be positive, got {half_width}")
+        self.half_width = half_width
+        self.n = n
 
     # -- elements
 
@@ -215,10 +224,11 @@ class MoyalBackend(Backend):
     heat_rate = 1.0
 
     def __init__(self, h: float = 1.0, fock_dim: int = 64, half_width: float = 8.0, n: int = 64):
+        if fock_dim < 2:
+            raise ValueError(f"Fock dimension must be at least 2, got {fock_dim}")
+        super().__init__(half_width, n)
         self.theta = DeformationMatrix.canonical(h)
         self.fock_dim = fock_dim
-        self.half_width = half_width
-        self.n = n
 
     def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
         """g(D) x: the Fock-basis pass for the heat, Bessel and derivation families, which

@@ -43,8 +43,7 @@ class ClassicalBackend(Backend):
     heat_rate = 2.0  # position width 2
 
     def __init__(self, half_width: float = 64.0, n: int = 4096):
-        self.half_width = half_width
-        self.n = n
+        super().__init__(half_width, n)
 
     def _payload(self, f, boundary_gate):
         # F = lambda_0(f); the plain Fourier transform needs no symbol gate

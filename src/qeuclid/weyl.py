@@ -27,19 +27,24 @@ cached tables of a window hold radii x N(N+1)/2 reals and a phase table of
 2 x orbits x (2N-1) complex: 8.8 MB at (N, n) = (64, 64), where the dense
 stack took 268 MB.
 
-Matrix-element generation notes: the naive two-term column recurrence for
-displacement entries is violently unstable once |alpha|^2 exceeds ~25 (the
-minimal-solution region below the Laguerre turning point).  Raw Laguerre
-values L_j^(k)(x), by contrast, are the dominant solution of the degree
-recurrence, so that recurrence is run on raw values and the magnitude
-prefactor sqrt(min(m,n)!/max(m,n)!) |alpha|^|m-n| e^{-x/2} is attached in
-log space.  Entries stay accurate (~1e-13 absolute) for |alpha|^2 up to
-several hundred.
+Matrix-element generation notes: one recurrence builds every entry.  With
+x = r^2, R_{k+d,k}(r) = c_d(x) p_k^(d)(x), where c_d(x) = x^(d/2) e^(-x/2) /
+sqrt(d!) and p_k^(d) are the orthonormal Laguerre polynomials, which
+_laguerre_values runs in the degree k.  The naive two-term column recurrence
+for displacement entries is violently unstable once |alpha|^2 exceeds ~25
+(the minimal-solution region below the Laguerre turning point).  The
+polynomials, by contrast, are the dominant solution of the degree
+recurrence, and positive factors (the orthonormal scale of each degree, the
+constant c_d) keep them so; the iterates c_d p_k are the entries themselves,
+at most 1 in modulus, so nothing overflows.  Only the start c_d spans
+hundreds of decades, and it is formed in log space.  Entries agree with the
+closed form to ~1e-13 absolute for |alpha|^2 up to several hundred.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -111,67 +116,68 @@ class DeformationMatrix:
 # Displacement matrix elements
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _lgamma(N: int) -> np.ndarray:
-    # importing scipy.special costs ~0.3 s, which only the Moyal path should pay
-    from scipy.special import gammaln
+# J_alpha, the Jacobi matrix of the Laguerre polynomials L^(alpha), and its
+# orthonormal polynomials p_k = sqrt(k! alpha! / (k + alpha)!) L_k^(alpha): the
+# displacement entries and the Fock-basis passes of qeuclid.calculus read them.
 
-    return gammaln(np.arange(N + 1, dtype=float))
+
+@functools.lru_cache(maxsize=2)
+def _jacobi(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b), each (k, alpha, 1): diagonal 2k + alpha + 1 and |off-diagonal| of J_alpha."""
+    k = np.arange(N, dtype=float)[:, None, None]
+    alpha = np.arange(N, dtype=float)[None, :, None]
+    return 2 * k + alpha + 1, np.sqrt((k + 1) * (k + alpha + 1))
+
+
+def _laguerre_values(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """P[k, alpha, j] = c[alpha, j] p_k(lam[alpha, j]) for the L^(alpha) family at the
+    degrees k < N - alpha that the diagonal m - n = +-alpha uses; 0 for larger k."""
+    N = lam.shape[0]
+    a, b = _jacobi(N)
+    P = np.zeros((N,) + lam.shape)
+    P[0] = c
+    tmp = np.empty(lam.shape)
+    for k in range(N - 1):
+        m = N - k - 1  # the rows alpha < m use degree k + 1
+        np.subtract(a[k, :m], lam[:m], out=tmp[:m])
+        np.multiply(tmp[:m], P[k, :m], out=P[k + 1, :m])
+        if k:
+            np.multiply(b[k - 1, :m], P[k - 1, :m], out=tmp[:m])
+            P[k + 1, :m] -= tmp[:m]
+        P[k + 1, :m] /= b[k, :m]
+    return P
+
+
+def _radial_values(x: np.ndarray, N: int) -> np.ndarray:
+    """P[k, d, b] = R_{k+d,k}(r_b) = <k+d|D(r_b)|k> at x = r_b^2, for k < N - d; 0 for larger k.
+
+    R_{k+d,k} = c_d p_k^(d) with c_d(x) = x^(d/2) e^(-x/2) / sqrt(d!), taken in log space.
+    """
+    x = np.asarray(x, dtype=float)
+    d = np.arange(N)[:, None]
+    half_log_fact = np.array([0.5 * math.lgamma(v + 1.0) for v in range(N)])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: c_0 = 1, c_d = 0 for d > 0
+        log_c = np.where(d > 0, 0.5 * d * np.log(x), 0.0) - 0.5 * x - half_log_fact
+    return _laguerre_values(np.broadcast_to(x, (N, x.size)), np.exp(log_c))
 
 
 def _displacement_block(alphas: np.ndarray, N: int) -> np.ndarray:
-    """Exact truncated <m|D(alpha)|n> for a batch of alphas, shape (B, N, N)."""
+    """Exact truncated <m|D(alpha)|n> for a batch of alphas, shape (B, N, N).
+
+    With alpha = r e^{i phi}, entry (k + d, k) is e^{i d phi} R_{k+d,k}(r) and
+    entry (k, k + d) is (-1)^d e^{-i d phi} R_{k+d,k}(r).
+    """
     alphas = np.asarray(alphas, dtype=complex).ravel()
     B = alphas.size
-    xs = np.abs(alphas) ** 2
-
-    # raw Laguerre table Lag[b, j, k] = L_j^(k)(x_b)
-    k = np.arange(N, dtype=float)[None, :]
-    Lag = np.empty((B, N, N))
-    Lag[:, 0, :] = 1.0
-    if N > 1:
-        Lag[:, 1, :] = 1.0 + k - xs[:, None]
-    for j in range(1, N - 1):
-        Lag[:, j + 1, :] = (
-            (2 * j + k + 1 - xs[:, None]) * Lag[:, j, :] - (j + k) * Lag[:, j - 1, :]
-        ) / (j + 1)
-
-    m = np.arange(N)
-    M, Nc = np.meshgrid(m, m, indexing="ij")
-    kofs = np.abs(M - Nc)
-    jmin = np.minimum(M, Nc)
-    upper = (M >= Nc).ravel()
-    lg = _lgamma(N)
-    base = 0.5 * (lg[jmin + 1] - lg[jmin + kofs + 1])
-
-    rows = np.arange(B)[:, None]
-    Lv = Lag[rows, jmin.ravel()[None, :], kofs.ravel()[None, :]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = (
-            base.ravel()[None, :]
-            - 0.5 * xs[:, None]
-            + np.where(kofs.ravel()[None, :] == 0, 0.0, kofs.ravel()[None, :] * 0.5 * np.log(xs)[:, None])
-            + np.where(Lv == 0.0, -np.inf, np.log(np.abs(Lv)))
-        )
-    mag = np.sign(Lv) * np.exp(logmag)
-
-    # phase factors: alpha^{m-n}/|alpha|^{m-n} below the diagonal,
-    # (-conj alpha)^{n-m}/|alpha|^{n-m} above; separable as outer products
-    absa = np.sqrt(xs)
-    safe = np.where(absa > 0, absa, 1.0)
-    pu = alphas / safe
-    pd = -np.conj(alphas) / safe
-    pu_pows = np.cumprod(np.concatenate([np.ones((B, 1), complex), np.tile(pu[:, None], (1, N - 1))], axis=1), axis=1)
-    pd_pows = np.cumprod(np.concatenate([np.ones((B, 1), complex), np.tile(pd[:, None], (1, N - 1))], axis=1), axis=1)
-    phase = np.where(
-        upper[None, :],
-        (pu_pows[:, :, None] * np.conj(pu_pows)[:, None, :]).reshape(B, -1),
-        (np.conj(pd_pows)[:, :, None] * pd_pows[:, None, :]).reshape(B, -1),
-    )
-    out = (mag * phase).reshape(B, N, N)
-    if np.any(xs == 0.0):
-        out[xs == 0.0] = np.eye(N, dtype=complex)
-    return out
+    P = _radial_values(np.abs(alphas) ** 2, N)
+    out = np.empty((B, N * N), dtype=complex)
+    for d in range(N):
+        lower, upper = _diagonal_slices(N, d)
+        phase = np.exp(1j * d * np.angle(alphas))[:, None]
+        out[:, lower] = phase * P[: N - d, d].T
+        if d:
+            out[:, upper] = (-1) ** d * phase.conj() * P[: N - d, d].T
+    return out.reshape(B, N, N)
 
 
 def displacement_matrix(theta: DeformationMatrix, t, N: int) -> np.ndarray:
@@ -256,15 +262,15 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
 
     radii = np.sqrt(h / 2.0) * (half_width / n) * np.sqrt(keys)
     blocks = tuple(np.empty((radii.size, N - d)) for d in range(N))
-    # each temporary of _displacement_block holds batch * N^2 values: 2**17
-    # keeps the transient near 10 MB (2**20 made ~100 MB); 2**16 saves 7 MB
-    # more at (64, 64) but slows the (96, 96) build by ~30 %, because each
-    # batch runs its own N-step Laguerre recurrence
+    # each batch's Laguerre table holds batch * N^2 values, 1.1 MB at 2**17;
+    # each batch also runs its own N-step recurrence, so at (128, 64) the
+    # recurrences take 0.07 s, against 0.12 s at 2**16 and 0.03 s at 2**20,
+    # whose 8.7 MB table would raise the peak RSS of the building process
     batch = max(1, 2**17 // (N * N))
     for start in range(0, radii.size, batch):
-        R = _displacement_block(radii[start : start + batch], N).real  # U is real at alpha = r
+        P = _radial_values(radii[start : start + batch] ** 2, N)
         for d, blk in enumerate(blocks):
-            blk[start : start + batch] = np.diagonal(R, -d, axis1=1, axis2=2)
+            blk[start : start + batch] = P[: N - d, d].T
     for arr in (radii, orbit_radius, members, dft, phases, csr_indptr, *blocks):
         arr.setflags(write=False)
     return _RadialTables(radii, orbit_radius, members, dft, phases, csr_indptr, blocks)
@@ -394,9 +400,7 @@ def quantize(
     return QuantizedOperator(N, vec.reshape(N, N), theta, theta.trace_weight)
 
 
-def dequantize(
-    x: QuantizedOperator, half_width: float = 8.0, n: int = 64
-) -> SymbolGrid:
+def dequantize(x: QuantizedOperator, half_width: float, n: int) -> SymbolGrid:
     """x_hat(s) = c Tr(x U(s)^dagger) on every node of the requested grid."""
     N = x.fock_dim
     tab = _radial_tables(x.theta.h, half_width, n, N)

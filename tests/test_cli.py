@@ -118,6 +118,30 @@ def test_verify_refuses_bad_parameters_up_front(tmp_path, capsys, tid, params):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "backend, field, value",
+    [
+        ("moyal", "fock_dim", 0),
+        ("moyal", "fock_dim", 1),
+        ("moyal", "grid_points", 0),
+        ("moyal", "grid_points", -4),
+        ("moyal", "grid_half_width", 0.0),
+        ("moyal", "grid_half_width", -8.0),
+        ("classical", "grid_points", 0),
+        ("classical", "grid_half_width", 0.0),
+    ],
+)
+def test_verify_refuses_a_bad_window_up_front(tmp_path, capsys, backend, field, value):
+    # a window no grid or Fock truncation can hold is a configuration error,
+    # not a traceback from the table build
+    cfg = small_config(tmp_path / "out", suites=("R2",), backend=backend)
+    setattr(cfg, field, value)
+    assert cmd_verify(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_refuses_a_suite_listed_twice(tmp_path, capsys):
     cfg = small_config(tmp_path / "out")
     cfg.suites = [SuiteConfig("R2", 3, params_grid=[{"p": 1.0}]), SuiteConfig("R2", 2, params_grid=[{"p": 2.0}])]
@@ -239,6 +263,44 @@ def test_import_pins_blas_to_one_thread():
     assert res.stdout.strip() == "1"
 
 
+IMPORT_PROBE = """
+import json, sys, tempfile
+import numpy as np
+from qeuclid import cli, harness, weyl
+
+out = tempfile.mkdtemp()
+cfg = cli.RunConfig(backend=sys.argv[1], fock_dim=32, grid_points=48, master_seed=5, workers=1, out_dir=out)
+if cfg.backend == "classical":
+    cfg.grid_half_width, cfg.grid_points = 64.0, 1024
+ids = cli.CLASSICAL_IDS if cfg.backend == "classical" else harness.registry_ids()
+cfg.suites = [cli.SuiteConfig(tid, 2) for tid in ids]
+codes = [cli.cmd_verify(cfg)]
+if cfg.backend == "moyal":
+    codes += [cli.main(["probe", what, "--N", "24", "--npts", "5", "--trials", "2", "--symbol", "bessel",
+                        "--s", "1", "--out", out + "/probe.csv"])
+              for what in ("quantize-roundtrip", "heat-decay", "multiplier-norm")]
+    theta = weyl.DeformationMatrix.canonical(1.0)
+    weyl.weyl_defect(theta, (1.0, 0.0), (0.0, 1.0), 16)
+    weyl.kernel_trace_oracle(lambda t: np.exp(-t**2), 1.0, nt=64, nu=64)
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+@pytest.mark.parametrize("backend", ["classical", "moyal"])
+def test_import_boundary(backend):
+    # a classical verify loads no scipy module at all, which keeps its set-up
+    # cheap; no qeuclid path, Moyal verify and probes included, loads scipy.special
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, backend], capture_output=True, text=True, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout.splitlines()[-1])
+    assert set(got["codes"]) <= {0, 2}
+    if backend == "classical":
+        assert got["scipy"] == []
+    else:
+        assert "scipy.sparse" in got["scipy"] and "scipy.linalg" in got["scipy"]
+        assert not [m for m in got["scipy"] if m.startswith("scipy.special")]
+
+
 def test_probe_quantize_roundtrip():
     res = run_cli(["probe", "quantize-roundtrip", "--h", "1", "--N", "48", "--n", "48"])
     assert res.returncode == 0
@@ -276,10 +338,22 @@ def test_probe_unknown_exits_one():
     assert res.returncode == 1
 
 
-def test_bad_config_file_exits_one(tmp_path):
+def test_bad_config_file_exits_one(tmp_path, capsys):
+    # not JSON, or JSON that is not an object: one line on stderr, no traceback
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["verify", "--config", str(bad)]) == 1
+    for text in ("{not json", "[]", '"R2"'):
+        bad.write_text(text)
+        assert main(["verify", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load config: ") and err.count("\n") == 1, text
+    assert not (tmp_path / "qeuclid-out").exists()
+
+
+def test_verify_refuses_a_malformed_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QEUCLID_WORKERS", "two")
+    assert cmd_verify(small_config(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "configuration error: QEUCLID_WORKERS must be an integer, got 'two'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_probe_multiplier_norm():

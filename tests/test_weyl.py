@@ -104,6 +104,24 @@ def test_displacement_large_alpha_entries_bounded(theta):
     assert np.abs(Ub).max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("h", [1.0, 10.0])
+def test_large_alpha_entries_match_closed_form(h):
+    # the radial tables and displacement_matrix against the textbook formula
+    # out to the L = 8 corner of the n = 64 grid, |alpha|^2 = 62 h (620 at h = 10)
+    N, n, L = 128, 64, 8.0
+    theta = DeformationMatrix.canonical(h)
+    tab = weyl._radial_tables(h, L, n, N)
+    for g in (0, tab.radii.size // 4, tab.radii.size // 2, tab.radii.size - 1):
+        ref = closed_form_displacement(complex(tab.radii[g]), N)
+        for d, blk in enumerate(tab.blocks):
+            assert np.abs(blk[g] - np.diagonal(ref, -d)).max() <= 1e-12
+    s = axis_nodes(L, n)
+    assert abs(theta.alpha(np.array((s[-1], s[-1])))) ** 2 == pytest.approx(62.015625 * h)
+    for t in [(s[-1], s[-1]), (s[0], s[-5]), (s[3], s[n // 2]), (s[20], s[50])]:
+        ref = closed_form_displacement(theta.alpha(np.array(t)), N)
+        assert np.abs(displacement_matrix(theta, t, N) - ref).max() <= 1e-12
+
+
 def test_unitarity_defect_block(theta):
     N = 64
     for t in [(2.0, 0.0), (0.0, 2.0), (1.4, 1.4)]:
