@@ -3,12 +3,13 @@
 end-to-end timings of the default ``verify`` runs.
 
 For each window (N, n) it starts ``REPEATS`` fresh processes.  Each one
-imports ``qeuclid`` from ``--src``, runs the trace-weight check, and then
 times with ``time.perf_counter``:
 
-- the first ``quantize`` of the window, which builds its cached tables, and
-  ``table_mb``, the bytes those tables hold;
-- ``CALLS`` further calls each of ``quantize``, ``dequantize`` and
+- ``build_tables_s``: importing ``qeuclid`` from ``--src`` and
+  ``MoyalBackend(...).build_tables()``, which runs the trace-weight check and
+  builds the window's cached tables, imports included; ``table_mb`` is the
+  bytes the quantization tables hold;
+- ``CALLS`` calls each of ``quantize``, ``dequantize`` and
   ``spectra.singular_profile``;
 - ``CALLS`` calls of ``MoyalBackend.norm`` at p = 2 and at p = 4, each on an
   element whose singular values are not cached yet;
@@ -19,10 +20,9 @@ times with ``time.perf_counter``:
   on a fresh element whose transform is not cached yet, after one untimed
   call that builds whatever tables the pass caches.
 
-It then reads ``ru_maxrss`` from ``resource.getrusage``.  The table build is
-the first ``quantize`` minus the median later one.  Every figure is the
-median over the processes of each process's median, except ``maxrss_mb``,
-which is the largest.
+It then reads ``ru_maxrss`` from ``resource.getrusage``.  Every figure is
+the median over the processes of each process's median, except
+``maxrss_mb``, which is the largest.
 
 For each default config in ``VERIFY_RUNS`` (moyal and classical, at 1 and 2
 workers) it starts ``REPEATS`` fresh processes.  Each one calls
@@ -74,34 +74,33 @@ VERIFY_RUNS = (("moyal", 1), ("moyal", 2), ("classical", 1), ("classical", 2))
 
 def measure(N: int, n: int) -> dict:
     """One window in this process; call it only in a fresh one."""
+    t0 = perf_counter()
     from qeuclid import calculus, spectra, weyl
     from qeuclid.harness import MoyalBackend, RandomElement, derive_seed
     from qeuclid.symbols import sample_symbol
 
-    # quantize imports scipy.sparse on first use; load it here so the first quantize times the build alone
-    import scipy.sparse  # noqa: F401
+    backend = MoyalBackend(H, N, HALF_WIDTH, n)
+    backend.build_tables()
+    build = perf_counter() - t0
 
     theta = weyl.DeformationMatrix.canonical(H)
     f = sample_symbol("gaussian", {"a": 0.5, "center": (0.5, -0.8)}, HALF_WIDTH, n, dim=2)
-    weyl._validate_trace_weight(H, N)
 
     def timed(fn):
         t0 = perf_counter()
         out = fn()
         return perf_counter() - t0, out
 
-    first, x = timed(lambda: weyl.quantize(f, theta, N))
+    x = weyl.quantize(f, theta, N)
     q = [timed(lambda: weyl.quantize(f, theta, N))[0] for _ in range(CALLS)]
     d = [timed(lambda: weyl.dequantize(x, HALF_WIDTH, n))[0] for _ in range(CALLS)]
     s = [timed(lambda: spectra.singular_profile(x))[0] for _ in range(CALLS)]
-    q_med = statistics.median(q)
     out = {
-        "table_build_s": first - q_med,
-        "quantize_ms": q_med * 1e3,
+        "build_tables_s": build,
+        "quantize_ms": statistics.median(q) * 1e3,
         "dequantize_ms": statistics.median(d) * 1e3,
         "singular_profile_ms": statistics.median(s) * 1e3,
     }
-    backend = MoyalBackend(H, N, HALF_WIDTH, n)
     el = backend.element_from_symbol(f)
     for key, (make, arg) in MULTIPLIERS.items():
         g = getattr(calculus, make)(arg)

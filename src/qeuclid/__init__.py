@@ -39,14 +39,7 @@ from .weyl import (
     trace_tau,
     weyl_defect,
 )
-from .spectra import (
-    SingularValueProfile,
-    distribution_function,
-    nc_lorentz_norm,
-    schatten_norm,
-    singular_profile,
-    spectral_trace,
-)
+from .spectra import SingularValueProfile, schatten_norm, singular_profile
 from .calculus import MultiplierSymbol, apply_multiplier
 from .harness import (
     MoyalBackend,

@@ -166,6 +166,8 @@ def apply_multiplier(g: MultiplierSymbol, xhat: SymbolGrid) -> SymbolGrid:
 # eigendecomposition of J_alpha truncated at the inner size
 # M = BESSEL_INNER_FACTOR * N and cut back to N.  At M = 2N the pass agrees
 # with M = 3N to about 1e-11 at the harness's orders s in [1/3, 1.5].
+# Both eigenproblems are solved densely, with numpy's eigvalsh and eigh on
+# J_alpha; the N solves at M = 128 take ~0.08 s, once per window.
 #
 # The diagonals are stacked as X[alpha, k, c], c = (re, im) of m - n = alpha
 # then of m - n = -alpha; both carry the same J_alpha, and rows k >= N - alpha
@@ -174,22 +176,28 @@ def apply_multiplier(g: MultiplierSymbol, xhat: SymbolGrid) -> SymbolGrid:
 BESSEL_INNER_FACTOR = 2
 
 
+def _jacobi_matrix(M: int, alpha: int) -> np.ndarray:
+    """Dense J_alpha of size M - alpha, from weyl._jacobi(M)."""
+    a, b = _jacobi(M)
+    size = M - alpha
+    off = np.diag(-b[: size - 1, alpha, 0], 1)
+    return np.diag(a[:size, alpha, 0]) + off + off.T
+
+
 @functools.lru_cache(maxsize=2)
 def _gauss_laguerre(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u[alpha, j] and root weights sqrt(w)[alpha, j] of the (N - alpha)-node rules.
 
-    A weight from an eigenvector is accurate only to ~1e-16 absolute, and the
-    heat pass multiplies it by p_k(u / (1 + tau)) ~ e^{u / 2(1 + tau)}, so
-    the weights are Christoffel numbers 1 / sum_k p_k(u)^2 instead, with the
-    sum scaled by e^{-u} to stay finite.  Padding (j >= N - alpha) has weight 0.
+    The nodes are the eigenvalues of J_alpha (Golub and Welsch, Math. Comp.
+    23 (1969) 221).  A weight from an eigenvector is accurate only to ~1e-16
+    absolute, and the heat pass multiplies it by p_k(u / (1 + tau)) ~
+    e^{u / 2(1 + tau)}, so the weights are Christoffel numbers
+    1 / sum_k p_k(u)^2 instead, with the sum scaled by e^{-u} to stay finite.
+    Padding (j >= N - alpha) has weight 0.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    a, b = _jacobi(N)
     u = np.zeros((N, N))
     for alpha in range(N):
-        K = N - alpha
-        u[alpha, :K] = eigh_tridiagonal(a[:K, alpha, 0], -b[: K - 1, alpha, 0], eigvals_only=True)
+        u[alpha, : N - alpha] = np.linalg.eigvalsh(_jacobi_matrix(N, alpha))
     valid = np.arange(N)[None, :] < N - np.arange(N)[:, None]
     c = np.where(valid, np.exp(-u / 2), 0.0)
     P = _laguerre_values(u, c)
@@ -201,16 +209,12 @@ def _gauss_laguerre(N: int) -> tuple[np.ndarray, np.ndarray]:
 def _jacobi_eigen(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues lam[alpha, i] of J_alpha at size M - alpha and the first N - alpha
     rows of its eigenvectors, V[alpha, k, i]; zero-padded."""
-    from scipy.linalg import eigh_tridiagonal
-
-    a, b = _jacobi(M)
     lam = np.zeros((N, M))
     V = np.zeros((N, N, M))
     for alpha in range(N):
-        size = M - alpha
-        w, v = eigh_tridiagonal(a[:size, alpha, 0], -b[: size - 1, alpha, 0])
-        lam[alpha, :size] = w
-        V[alpha, : N - alpha, :size] = v[: N - alpha]
+        w, v = np.linalg.eigh(_jacobi_matrix(M, alpha))
+        lam[alpha, : w.size] = w
+        V[alpha, : N - alpha, : w.size] = v[: N - alpha]
     return lam, V
 
 

@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from . import calculus, harness, symbols
-from .errors import BoundaryDecayError
 from .harness import MoyalBackend, registry_ids
 from .oracle import CLASSICAL_IDS, ClassicalBackend
 
@@ -194,7 +193,7 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
 def cmd_verify(cfg: RunConfig) -> int:
     try:
         backend, tasks = cfg.plan()
-        n_workers = _resolve_workers(cfg)
+        n_workers = min(_resolve_workers(cfg), len(tasks))
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -202,7 +201,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     try:
         backend.build_tables()
         _worker_state["backend"] = backend
-        if n_workers == 1 or len(tasks) < 2:
+        if n_workers <= 1:
             results = [_worker_task(rows) for rows in tasks]
         else:
             # fork (POSIX), after build_tables has run BLAS in this process.
@@ -308,7 +307,8 @@ def cmd_probe(args) -> int:
             return _probe_heat_decay(args)
         if args.what == "multiplier-norm":
             return _probe_multiplier_norm(args)
-    except (ValueError, BoundaryDecayError) as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: an element draw that never passed its gate, or a failed SVD
         print(f"probe error: {exc}", file=sys.stderr)
         return 1
     print(f"unknown probe {args.what!r}", file=sys.stderr)

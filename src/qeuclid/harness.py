@@ -86,6 +86,9 @@ def derive_seed(master_seed: int, *parts) -> int:
 # trim threshold to twice that, as large frees in a running program do anyway;
 # other allocators ignore it.  1 MiB ends the faults; 256 KiB does not, and
 # 4 MiB moves arrays up to that size onto the heap, which raised the peak RSS.
+# A Moyal worker's heap swings further: the two workers of a moyal-registry
+# call took ~8300 page faults at 1, 2 or 4 MiB and ~5600 at 8 MiB, which also
+# cut the call's wall time by ~5 % and its peak RSS from 58.0 to 56.6 MB.
 _ALLOCATOR_SETTLE_BYTES = 1 << 20
 
 
@@ -112,9 +115,12 @@ class Backend:
     symbol to the algebra element, ``_transform(payload)`` back to the
     transform, ``_profile(payload)`` and ``pair_trace(x, y)`` = tau(x y^*).  It
     sets ``dim``, the draw's smallest component width ``width_floor`` and the
-    heat probe's rate ``heat_rate``, and passes its window (``half_width``,
-    ``n``) to this constructor, which refuses a window no grid can hold.
+    heat probe's rate ``heat_rate``, may raise ``allocator_settle_bytes``, and
+    passes its window (``half_width``, ``n``) to this constructor, which
+    refuses a window no grid can hold.
     """
+
+    allocator_settle_bytes = _ALLOCATOR_SETTLE_BYTES
 
     def __init__(self, half_width: float, n: int):
         if n < 1:
@@ -193,7 +199,7 @@ class Backend:
         """Build the cached tables the trials read (none here) and settle the
         allocator's trim threshold (see above); verify calls it before its pool
         forks, so the workers inherit them."""
-        np.empty(_ALLOCATOR_SETTLE_BYTES, dtype=np.uint8)
+        np.empty(self.allocator_settle_bytes, dtype=np.uint8)
 
     def fourier_grid(self) -> SymbolGrid:
         return SymbolGrid(self.dim, self.half_width, self.n, np.zeros((self.n,) * self.dim))
@@ -222,6 +228,7 @@ class MoyalBackend(Backend):
     # floor sits just above 1/2.
     width_floor = 0.55
     heat_rate = 1.0
+    allocator_settle_bytes = 8 << 20
 
     def __init__(self, h: float = 1.0, fock_dim: int = 64, half_width: float = 8.0, n: int = 64):
         if fock_dim < 2:
@@ -238,16 +245,14 @@ class MoyalBackend(Backend):
         return RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
 
     def build_tables(self) -> None:
-        """The trace-weight check, the quantization tables of the window, the
-        tables of the Fock-basis passes, and the modules ``quantize`` imports
-        on first use (a worker would otherwise import them on every call)."""
+        """The trace-weight check, the quantization tables of the window and the
+        tables of the Fock-basis passes."""
         super().build_tables()
         N = self.fock_dim
         weyl._validate_trace_weight(self.theta.h, N)
         weyl._radial_tables(self.theta.h, self.half_width, self.n, N)
         calculus._gauss_laguerre(N)
         calculus._jacobi_eigen(N, calculus.BESSEL_INNER_FACTOR * N)
-        import scipy.sparse  # noqa: F401  (after the builds, whose transients set the peak RSS)
 
     def norm(self, el: RandomElement, p: float) -> float:
         """The Schatten p-norm; at p = 2 and 4 from the matrix, with no SVD.

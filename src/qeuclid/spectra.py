@@ -1,28 +1,24 @@
-"""Singular-value profiles and the weighted-trace L^p / Lorentz norms.
+"""Singular-value profiles, the weighted-trace Schatten norms and entropy terms.
 
 The trace here is atomic, c * Tr with c the quantization's trace weight, so
 the singular value function mu(t, x) is the step function sigma_{floor(t/c)}
-and every norm integral is a finite sum evaluated in closed form.
+and every norm integral is a finite sum evaluated in closed form.  The
+Lorentz norms of a profile are symbols.lorentz_step_norm(sigmas, weight, p, q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, FactorizationError
-from .symbols import lorentz_step_norm
 from .weyl import QuantizedOperator
 
 __all__ = [
     "SingularValueProfile",
     "singular_profile",
-    "distribution_function",
     "schatten_norm",
-    "nc_lorentz_norm",
-    "spectral_trace",
     "entropy_term",
 ]
 
@@ -59,33 +55,12 @@ def singular_profile(x: QuantizedOperator) -> SingularValueProfile:
     return SingularValueProfile(sv, x.trace_weight)
 
 
-def distribution_function(profile: SingularValueProfile, s: float) -> float:
-    """n(s) = c * #{sigma_k > s} (strict inequality)."""
-    if s < 0:
-        raise ValueError("distribution function argument must be >= 0")
-    return float(profile.weight * np.count_nonzero(profile.sigmas > s))
-
-
 def schatten_norm(profile: SingularValueProfile, p: float) -> float:
     if np.isinf(p):
         return float(profile.sigmas[0]) if profile.sigmas.size else 0.0
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float((profile.weight * np.sum(profile.sigmas**p)) ** (1.0 / p))
-
-
-def nc_lorentz_norm(profile: SingularValueProfile, p: float, q: float) -> float:
-    if not (1 <= p) or not (1 <= q):
-        raise ValueError("Lorentz exponents must be >= 1 (or inf)")
-    return lorentz_step_norm(profile.sigmas, profile.weight, p, q)
-
-
-def spectral_trace(profile: SingularValueProfile, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """c * sum_k phi(sigma_k); phi must be finite on the spectrum."""
-    vals = np.asarray(phi(profile.sigmas), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("phi is undefined (non-finite) at some singular value")
-    return float(profile.weight * vals.sum())
 
 
 def entropy_term(profile: SingularValueProfile, p: float) -> float:

@@ -214,7 +214,9 @@ def displacement_matrix(theta: DeformationMatrix, t, N: int) -> np.ndarray:
 # (odd n) have 4, 4 and 1 distinct members; their repeated slots are empty.
 # The phase table holds e^{+-i d phi0} per orbit, with the diagonals folded by
 # their residue: row (b, o, s), column j holds d = 4j + b - (N-1), and is 0
-# past d = N-1.  The orbit-to-radius sum of quantize is one sparse product.
+# past d = N-1.  quantize sums each radius's orbits into its first orbit,
+# adding the k-th orbit of the radii that have one (at most 4 orbits per
+# radius at n = 64, 5 at n = 96, 6 at n = 128), then gathers the first orbits.
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,8 @@ class _RadialTables:
     members: np.ndarray  # (orbits, 2, 4) node of the member (s, k); n*n for an empty slot
     dft: np.ndarray  # (4, 4): dft[k, b] = i^{k m_b}, m_b = (b - N + 1) mod 4
     phases: np.ndarray  # (4 * orbits * 2, ceil((2N-1)/4)) folded e^{+-i d phi0}, rows (b, o, s)
-    csr_indptr: np.ndarray  # row (b, g) of the orbit-to-radius sum holds the columns (b, o, s) of radius g
+    first_orbit: np.ndarray  # (radii,) the first orbit of each radius
+    more_orbits: tuple  # more_orbits[k - 1], (2, .): the first and the (k+1)-th orbit of the radii with one
     blocks: tuple  # blocks[d] = R on the diagonal m - n = d >= 0, shape (radii, N - d)
 
 
@@ -240,7 +243,9 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
     X, Y = X[Y <= X], Y[Y <= X]
     order = np.argsort(X**2 + Y**2, kind="stable")
     X, Y = X[order], Y[order]
-    keys, orbit_radius, per_radius = np.unique(X**2 + Y**2, return_inverse=True, return_counts=True)
+    keys, first_orbit, orbit_radius, per_radius = np.unique(
+        X**2 + Y**2, return_index=True, return_inverse=True, return_counts=True
+    )
     O = X.size
 
     # member (s, k): i^k (X + iY) for s = 0, i^k (X - iY) for s = 1
@@ -257,8 +262,10 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
 
     m = (np.arange(4) - (N - 1)) % 4
     dft = 1j ** ((np.arange(4)[:, None] * m[None, :]) % 4)
-    starts = 2 * np.concatenate([[0], np.cumsum(per_radius)])
-    csr_indptr = np.concatenate([b * 2 * O + starts[:-1] for b in range(4)] + [[8 * O]])
+    more_orbits = []
+    for k in range(1, per_radius.max()):
+        first = first_orbit[per_radius > k]
+        more_orbits.append(np.stack([first, first + k]))
 
     radii = np.sqrt(h / 2.0) * (half_width / n) * np.sqrt(keys)
     blocks = tuple(np.empty((radii.size, N - d)) for d in range(N))
@@ -271,9 +278,9 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
         P = _radial_values(radii[start : start + batch] ** 2, N)
         for d, blk in enumerate(blocks):
             blk[start : start + batch] = P[: N - d, d].T
-    for arr in (radii, orbit_radius, members, dft, phases, csr_indptr, *blocks):
+    for arr in (radii, orbit_radius, members, dft, phases, first_orbit, *more_orbits, *blocks):
         arr.setflags(write=False)
-    return _RadialTables(radii, orbit_radius, members, dft, phases, csr_indptr, blocks)
+    return _RadialTables(radii, orbit_radius, members, dft, phases, first_orbit, tuple(more_orbits), blocks)
 
 
 def _diagonal_slices(N: int, d: int) -> tuple[slice, slice]:
@@ -375,21 +382,18 @@ def quantize(
                 "enlarge the grid"
             )
     _validate_trace_weight(theta.h, N)
-    # importing scipy.sparse costs ~20 ms, which only the Moyal path should pay
-    from scipy.sparse import csr_array
-
     tab = _radial_tables(theta.h, f.half_width, f.points_per_axis, N)
     O, J = tab.orbit_radius.size, tab.phases.shape[1]
-    radii = tab.radii.size
-    # slot n*n (an empty member) reads 0; F[o, s, b] is the 4-point DFT of the orbit's weights
+    # slot n*n (an empty member) reads 0; F[b, o, s] is the 4-point DFT of the orbit's weights
     w = np.append(f.samples.ravel() * f.cell_volume, 0.0)
-    F = (w[tab.members].reshape(2 * O, 4) @ tab.dft).reshape(O, 2, 4)
-    orbit_sums = csr_array(
-        (F.transpose(2, 0, 1).ravel(), np.arange(8 * O), tab.csr_indptr), shape=(4 * radii, 8 * O)
-    )
-    # rows (b, g), column j -> G_d(r_g) in row d + N - 1 = 4j + b, as a (radii, 2) real array
-    G = np.ascontiguousarray((orbit_sums @ tab.phases).reshape(4, radii, J).transpose(2, 0, 1))
-    G = G.view(float).reshape(4 * J, radii, 2)
+    F = tab.dft.T @ w[tab.members].reshape(2 * O, 4).T
+    # S[b, o, j] = sum_s F[b, o, s] e^{+-i d phi0}, the orbit's share of G_d, d = 4j + b - (N-1)
+    S = (F.reshape(4, O, 1, 2) @ tab.phases.reshape(4, O, 2, J)).reshape(4, O, J)
+    # each radius's sum G_d(r_g) builds up in its first orbit's slot
+    for first, other in tab.more_orbits:
+        S[:, first] += S[:, other]
+    # G_d(r_g) in row d + N - 1 = 4j + b, as a (radii, 2) real array
+    G = np.ascontiguousarray(S[:, tab.first_orbit].transpose(2, 0, 1)).view(float).reshape(4 * J, -1, 2)
     vec = np.empty(N * N, dtype=complex)
     out = vec.view(float).reshape(N * N, 2)
     for d, R in enumerate(tab.blocks):

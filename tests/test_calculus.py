@@ -375,3 +375,26 @@ def test_heat_basis_cache_is_bitwise_neutral(backend, x):
     Q = calculus._heat_basis(N, tau)
     assert not Q.flags.writeable
     assert np.array_equal(Q, calculus._heat_basis.__wrapped__(N, tau))
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_gauss_laguerre_rule_matches_numpy(N):
+    # at alpha = 0 the rule is the classical N-node Gauss-Laguerre rule
+    u, root_w = calculus._gauss_laguerre(N)
+    nodes, weights = np.polynomial.laguerre.laggauss(N)
+    assert np.max(np.abs(u[0] - nodes) / nodes) <= 1e-12
+    assert np.max(np.abs(root_w[0] ** 2 - weights) / weights) <= 1e-10
+
+
+def test_jacobi_eigenpairs_rebuild_the_jacobi_matrix():
+    # V Lam V^T is the leading (N - alpha)^2 block of J_alpha at size M - alpha,
+    # written out here from its entries, and the rows of V are orthonormal
+    N, M = 64, 128
+    lam, V = calculus._jacobi_eigen(N, M)
+    for alpha in range(0, N, 7):
+        K, k = N - alpha, np.arange(N - alpha, dtype=float)
+        off = -np.sqrt((k[:-1] + 1) * (k[:-1] + alpha + 1))
+        J = np.diag(2 * k + alpha + 1) + np.diag(off, 1) + np.diag(off, -1)
+        Vk = V[alpha, :K, : M - alpha]
+        assert np.linalg.norm(Vk * lam[alpha, : M - alpha] @ Vk.T - J) <= 1e-13 * np.linalg.norm(J)
+        assert np.abs(Vk @ Vk.T - np.eye(K)).max() <= 1e-13

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
-from qeuclid import harness, spectra
+from qeuclid import cli, harness, spectra
 from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main, make_backend
 
 
@@ -229,6 +229,31 @@ def test_verify_pool_workers_inherit_frozen_objects(tmp_path, monkeypatch):
     assert gc.get_freeze_count() == before
 
 
+def test_verify_forks_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # the fork pool starts all its workers up front, so a 3-index run asks for 3
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("QEUCLID_WORKERS", "8")
+    assert cmd_verify(small_config(tmp_path / "out", trials=3)) == 0
+    monkeypatch.setenv("QEUCLID_WORKERS", "2")
+    assert cmd_verify(small_config(tmp_path / "out", trials=3)) == 0
+    assert sizes == [3, 2]
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(small_config(tmp_path / "ignored", trials=2, suites=("R15",)).to_json())
@@ -288,17 +313,13 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.st
 
 @pytest.mark.parametrize("backend", ["classical", "moyal"])
 def test_import_boundary(backend):
-    # a classical verify loads no scipy module at all, which keeps its set-up
-    # cheap; no qeuclid path, Moyal verify and probes included, loads scipy.special
+    # numpy is the only run-time dependency: no qeuclid path, the verify of
+    # either backend, the probes and the oracles included, loads a scipy module
     res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, backend], capture_output=True, text=True, env=cli_env())
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout.splitlines()[-1])
     assert set(got["codes"]) <= {0, 2}
-    if backend == "classical":
-        assert got["scipy"] == []
-    else:
-        assert "scipy.sparse" in got["scipy"] and "scipy.linalg" in got["scipy"]
-        assert not [m for m in got["scipy"] if m.startswith("scipy.special")]
+    assert got["scipy"] == []
 
 
 def test_probe_quantize_roundtrip():
@@ -336,6 +357,13 @@ def test_probe_heat_decay_honours_grid_flags(tmp_path, backend, half_width, n):
 def test_probe_unknown_exits_one():
     res = run_cli(["probe", "mystery"])
     assert res.returncode == 1
+
+
+def test_probe_draw_failure_exits_one():
+    # on a one-unit window no draw passes the boundary gate: one line, no traceback
+    res = run_cli(["probe", "multiplier-norm", "--half-width", "1", "--N", "24", "--n", "16", "--trials", "1"])
+    assert res.returncode == 1
+    assert res.stderr == "probe error: could not draw an element passing the boundary gate\n"
 
 
 def test_bad_config_file_exits_one(tmp_path, capsys):

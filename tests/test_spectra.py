@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qeuclid.errors import DomainError
-from qeuclid.spectra import (
-    SingularValueProfile,
-    distribution_function,
-    entropy_term,
-    nc_lorentz_norm,
-    schatten_norm,
-    singular_profile,
-    spectral_trace,
-)
-from qeuclid.symbols import axis_nodes, SymbolGrid, lebesgue_norm
+from qeuclid.spectra import SingularValueProfile, entropy_term, schatten_norm, singular_profile
+from qeuclid.symbols import axis_nodes, SymbolGrid, lebesgue_norm, lorentz_step_norm
 from qeuclid.weyl import DeformationMatrix, QuantizedOperator, dequantize, quantize
 
 
@@ -62,32 +54,6 @@ def test_unitary_block_profile(theta):
     u, _ = np.linalg.qr(m)
     prof = singular_profile(op_from_matrix(u, theta))
     assert np.allclose(prof.sigmas, 1.0, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# distribution function
-# ---------------------------------------------------------------------------
-
-
-def test_distribution_edges(theta):
-    prof = SingularValueProfile(np.array([2.0, 1.5, 0.5]), 0.25)
-    assert distribution_function(prof, 2.0) == 0.0
-    assert distribution_function(prof, 0.0) == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        distribution_function(prof, -1.0)
-
-
-def test_distribution_mu_galois_links(rng, theta):
-    # n(s) = c * #{sigma_k > s}: strict, so n(sigma_k) <= k c, and the
-    # level past n(s) is at most s
-    for _ in range(10):
-        sig = np.sort(rng.uniform(0, 3, size=12))[::-1]
-        prof = SingularValueProfile(sig, 0.3)
-        for s in np.concatenate([sig, rng.uniform(0, 3.5, size=8)]):
-            k = round(distribution_function(prof, s) / 0.3)
-            assert k == sig.size or sig[k] <= s
-        for k, m in enumerate(sig):
-            assert distribution_function(prof, m) <= k * 0.3 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -156,60 +122,32 @@ def test_unitary_invariance(rng, theta):
 
 
 # ---------------------------------------------------------------------------
-# Lorentz norms
+# Lorentz norms of a profile (the step norm over its singular values)
 # ---------------------------------------------------------------------------
+
+
+def nc_lorentz(prof, p, q):
+    return lorentz_step_norm(prof.sigmas, prof.weight, p, q)
 
 
 def test_nc_lorentz_pp_is_lp(rng, theta):
     x = random_op(rng, theta)
     prof = singular_profile(x)
     for p in (1.0, 2.0, 3.5):
-        assert nc_lorentz_norm(prof, p, p) == pytest.approx(schatten_norm(prof, p), rel=1e-12)
-
-
-def test_nc_lorentz_rank_one(theta):
-    c = theta.trace_weight
-    prof = SingularValueProfile(np.array([1.0]), c)
-    for p, q in [(2.0, 1.0), (4.0, 4 / 3)]:
-        assert nc_lorentz_norm(prof, p, q) == pytest.approx(c ** (1 / p) * (p / q) ** (1 / q), rel=1e-12)
+        assert nc_lorentz(prof, p, p) == pytest.approx(schatten_norm(prof, p), rel=1e-12)
 
 
 def test_nc_lorentz_secondary_monotone_constant(rng, theta):
     worst = 0.0
     for _ in range(30):
         prof = singular_profile(random_op(rng, theta))
-        worst = max(worst, nc_lorentz_norm(prof, 2.0, 4.0) / nc_lorentz_norm(prof, 2.0, 1.5))
+        worst = max(worst, nc_lorentz(prof, 2.0, 4.0) / nc_lorentz(prof, 2.0, 1.5))
     assert 0 < worst < 10.0
 
 
 # ---------------------------------------------------------------------------
-# spectral traces
+# entropy terms
 # ---------------------------------------------------------------------------
-
-
-def test_spectral_trace_power_consistency(rng, theta):
-    prof = singular_profile(random_op(rng, theta))
-    p = 2.5
-    assert spectral_trace(prof, lambda u: u**p) == pytest.approx(schatten_norm(prof, p) ** p, rel=1e-12)
-
-
-def test_spectral_trace_indicator_is_distribution(rng, theta):
-    prof = singular_profile(random_op(rng, theta))
-    s = float(np.median(prof.sigmas))
-    assert spectral_trace(prof, lambda u: (u > s).astype(float)) == pytest.approx(
-        distribution_function(prof, s), rel=1e-12
-    )
-
-
-def test_spectral_trace_rejects_nonfinite(theta):
-    prof = SingularValueProfile(np.array([1.0, 0.0]), 0.5)
-
-    def bare_log(u):
-        with np.errstate(divide="ignore"):
-            return np.log(u)
-
-    with pytest.raises(DomainError):
-        spectral_trace(prof, bare_log)
 
 
 def test_zero_operator_entropy_is_domain_error():

@@ -387,6 +387,27 @@ def test_large_window_matches_direct_sums():
     assert _rel(np.array([got[p] for p in picks]), np.array([c * np.sum(x.matrix * np.conj(U[p])) for p in picks])) <= 1e-13
 
 
+def test_quantize_sums_every_orbit_of_a_radius():
+    # at n = 64 the key X^2 + Y^2 = 2210 holds four D4 orbits, the most of any
+    # radius, so all three of its later orbits are added to the first
+    N, n, L = 64, 64, 8.0
+    theta = DeformationMatrix.canonical(1.0)
+    tab = weyl._radial_tables(theta.h, L, n, N)
+    s = axis_nodes(L, n)
+    a = 2 * np.arange(n) - n + 1  # node (i, j) has X = -a[j], Y = a[i]
+    nodes = [(i, j) for i in range(n) for j in range(n) if a[i] ** 2 + a[j] ** 2 == 2210]
+    assert len(nodes) == 32
+    g = np.argmin(np.abs(tab.radii - np.sqrt(theta.h / 2.0) * (L / n) * np.sqrt(2210)))
+    assert np.count_nonzero(tab.orbit_radius == g) == 4
+    rng = np.random.default_rng(4)
+    vals = np.zeros((n, n), dtype=complex)
+    for p in nodes:
+        vals[p] = complex(*rng.normal(size=2))
+    f = SymbolGrid(2, L, n, vals)
+    ref = sum(vals[p] * displacement_matrix(theta, (s[p[0]], s[p[1]]), N) for p in nodes) * f.cell_volume
+    assert _rel(quantize(f, theta, N, boundary_gate=None).matrix, ref) <= 1e-13
+
+
 def test_trace_weight_check_small_fock_dims():
     # the check's own Gaussian is exact at every Fock size, so only a wrong
     # weight makes it fail
