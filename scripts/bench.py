@@ -8,7 +8,9 @@ times with ``time.perf_counter``:
 - ``build_tables_s``: importing ``qeuclid`` from ``--src`` and
   ``MoyalBackend(...).build_tables()``, which runs the trace-weight check and
   builds the window's cached tables, imports included; ``table_mb`` is the
-  bytes the quantization tables hold;
+  bytes the quantization tables hold, and ``fock_table_mb`` the bytes of the
+  Fock-basis pass tables: the Bessel eigenvectors and eigenvalues, the
+  Gauss-Laguerre rules and one heat basis (the one heat at t = 1 reads);
 - ``CALLS`` calls each of ``quantize``, ``dequantize`` and
   ``spectra.singular_profile``;
 - ``CALLS`` calls of ``MoyalBackend.norm`` at p = 2 and at p = 4, each on an
@@ -116,6 +118,12 @@ def measure(N: int, n: int) -> dict:
     draws = [timed(lambda: backend.sample_element(derive_seed(1, i)))[0] for i in range(CALLS)]
     out["sample_element_ms"] = statistics.median(draws) * 1e3
     out["table_mb"] = table_bytes(weyl._radial_tables(H, HALF_WIDTH, n, N)) / 1e6
+    fock = (
+        *calculus._jacobi_eigen(N, calculus.BESSEL_INNER_FACTOR * N),
+        *calculus._gauss_laguerre(N),
+        calculus._heat_basis(N, 2.0 * 1.0 / H),
+    )
+    out["fock_table_mb"] = sum(a.nbytes for a in fock) / 1e6
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 

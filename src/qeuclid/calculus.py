@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BoundaryDecayError, DomainError
 from .symbols import SymbolGrid, _radius_sq, grid_meshes
-from .weyl import QuantizedOperator, _jacobi, _laguerre_values
+from .weyl import QuantizedOperator, _diagonals, _jacobi, _laguerre_values
 
 __all__ = [
     "MultiplierSymbol",
@@ -169,9 +169,14 @@ def apply_multiplier(g: MultiplierSymbol, xhat: SymbolGrid) -> SymbolGrid:
 # Both eigenproblems are solved densely, with numpy's eigvalsh and eigh on
 # J_alpha; the N solves at M = 128 take ~0.08 s, once per window.
 #
-# The diagonals are stacked as X[alpha, k, c], c = (re, im) of m - n = alpha
-# then of m - n = -alpha; both carry the same J_alpha, and rows k >= N - alpha
-# are zero.
+# The passes read x in the paired layout of weyl._diagonals, whose slab p holds
+# the diagonals p and N - p.  The tables of a pass hold, in the rows of each
+# diagonal, its own basis (eigenvectors or Gauss-Laguerre functions), so slab p
+# of a table is (N, columns) with no padding rows.  The operand stacks per slab
+# 8 real columns: (re, im) of m - n = alpha and of m - n = -alpha for the first
+# diagonal, then for the second, each 0 in the other diagonal's rows.  Those
+# zeros keep the two diagonals apart in B^T X; B (w B^T X) mixes them in the
+# rows it does not keep.
 
 BESSEL_INNER_FACTOR = 2
 
@@ -200,52 +205,54 @@ def _gauss_laguerre(N: int) -> tuple[np.ndarray, np.ndarray]:
         u[alpha, : N - alpha] = np.linalg.eigvalsh(_jacobi_matrix(N, alpha))
     valid = np.arange(N)[None, :] < N - np.arange(N)[:, None]
     c = np.where(valid, np.exp(-u / 2), 0.0)
-    P = _laguerre_values(u, c)
-    root_w = c / np.where(valid, np.sqrt(np.einsum("kaj,kaj->aj", P, P)), 1.0)
+    # sum_k (c p_k(u))^2 over the rows of each diagonal, in the order of k: the
+    # first diagonal of slab p is p, its second the diagonal of its last row
+    alpha = _diagonals(N).alpha
+    sq = np.square(_laguerre_values(u, c))
+    first = (alpha == np.arange(N // 2 + 1)[:, None])[..., None]
+    sums = np.empty((N, N))
+    sums[alpha[:, -1]] = np.where(first, 0.0, sq).sum(axis=1)
+    sums[: N // 2 + 1] = np.where(first, sq, 0.0).sum(axis=1)
+    root_w = c / np.where(valid, np.sqrt(sums), 1.0)
     return u, root_w
 
 
 @functools.lru_cache(maxsize=2)
 def _jacobi_eigen(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam[alpha, i] of J_alpha at size M - alpha and the first N - alpha
-    rows of its eigenvectors, V[alpha, k, i]; zero-padded."""
-    lam = np.zeros((N, M))
-    V = np.zeros((N, N, M))
+    """Eigenvalues lam[p, i, h] of J_alpha at size M - alpha for the first (h = 0) and
+    second (h = 1) diagonal alpha of slab p, and the first N - alpha rows of its
+    eigenvectors in the rows of alpha, V[p, r, i]; zero past column M - alpha."""
+    start = _diagonals(N).start
+    lam = np.zeros((N // 2 + 1, M, 2))
+    V = np.zeros((N // 2 + 1, N, M))
     for alpha in range(N):
         w, v = np.linalg.eigh(_jacobi_matrix(M, alpha))
-        lam[alpha, : w.size] = w
-        V[alpha, : N - alpha, : w.size] = v[: N - alpha]
+        p, r = divmod(int(start[alpha]), N)
+        lam[p, : w.size, int(r > 0)] = w
+        V[p, r : r + N - alpha, : w.size] = v[: N - alpha]
     return lam, V
 
 
-@functools.lru_cache(maxsize=2)
-def _diagonal_index(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, valid), each (alpha, k): entry (k + alpha, k) of the diagonal m - n = alpha."""
-    alpha, k = np.arange(N)[:, None], np.arange(N)[None, :]
-    valid = k < N - alpha
-    return np.where(valid, k + alpha, 0), np.where(valid, k, 0), valid
-
-
-def _on_diagonals(x: np.ndarray, op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply ``op`` to the stacked real diagonals X[alpha, k, 4] of x and unstack."""
-    rows, cols, valid = _diagonal_index(x.shape[0])
-    X = np.stack([x[rows, cols], x[cols, rows]], axis=-1)
-    X[~valid] = 0.0
-    Y = op(X.view(float)).view(complex)
-    out = np.empty_like(x)
-    out[rows[valid], cols[valid]] = Y[..., 0][valid]
-    out[cols[valid], rows[valid]] = Y[..., 1][valid]
-    return out
+def _spectral_pass(x: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """B (w B^T X) on the paired slabs X of x: B[p] is (N, columns), and w[p, column or
+    1, h] weighs the columns of the slab's diagonal h."""
+    halves = _diagonals(x.shape[0]).halves
+    X = np.append(x, 0.0)[halves].view(float).reshape(halves.shape[:2] + (8,))
+    Y = B.transpose(0, 2, 1) @ X
+    Y.reshape(Y.shape[:2] + (2, 4))[...] *= w[..., None]
+    out = np.empty(x.size + 1, dtype=complex)  # entry N*N takes what the other diagonal's rows hold
+    out[halves] = (B @ Y).view(complex).reshape(halves.shape)
+    return out[:-1].reshape(x.shape)
 
 
 @functools.lru_cache(maxsize=2)
 def _heat_basis(N: int, tau: float) -> np.ndarray:
-    """Q[alpha, k, j] = sqrt(w_j) p_k(u_j / (1 + tau)), read-only.
+    """Q[p, r, j] = sqrt(w_j) p_k(u_j / (1 + tau)) on the paired slabs, read-only.
 
     A call of a suite runs the heat flow at one time on many elements; two
-    entries (2 MB each at N = 64) serve it without growing a worker."""
+    entries (1.1 MB each at N = 64) serve it without growing a worker."""
     u, root_w = _gauss_laguerre(N)
-    Q = _laguerre_values(u / (1.0 + tau), root_w).transpose(1, 0, 2)
+    Q = _laguerre_values(u / (1.0 + tau), root_w)
     Q.setflags(write=False)
     return Q
 
@@ -253,16 +260,14 @@ def _heat_basis(N: int, tau: float) -> np.ndarray:
 def _heat(x: np.ndarray, t: float, h: float) -> np.ndarray:
     N = x.shape[0]
     tau = 2.0 * t / h
-    Q = _heat_basis(N, tau)
-    scale = (1.0 + tau) ** -(np.arange(N) + 1.0)
-    return _on_diagonals(x, lambda X: Q @ (scale[:, None, None] * (Q.transpose(0, 2, 1) @ X)))
+    alpha = _diagonals(N).alpha[:, None, [0, -1]]  # the first and second diagonal of each slab
+    return _spectral_pass(x, _heat_basis(N, tau), (1.0 + tau) ** -(alpha + 1.0))
 
 
 def _bessel(x: np.ndarray, s: float, h: float) -> np.ndarray:
     N = x.shape[0]
     lam, V = _jacobi_eigen(N, BESSEL_INNER_FACTOR * N)
-    g = (1.0 + 2.0 * lam / h) ** (s / 2.0)
-    return _on_diagonals(x, lambda X: V @ (g[..., None] * (V.transpose(0, 2, 1) @ X)))
+    return _spectral_pass(x, V, (1.0 + 2.0 * lam / h) ** (s / 2.0))
 
 
 def _derivation(x: np.ndarray, axis: int, h: float) -> np.ndarray:

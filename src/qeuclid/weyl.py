@@ -20,12 +20,13 @@ Both grid sums use the radial-angular factorization
 U_mn(t) = e^{i(m-n) phi(t)} R_mn(|alpha(t)|) with R real (Cahill-Glauber),
 instead of a dense stack of every U(t_k).  Radii repeat on the midpoint grid
 (398 distinct among 4096 nodes at n = 64), so quantize sums f_k dV e^{i d phi_k}
-over the nodes of each radius and applies one real (radii x (N - |d|)) block
-per diagonal d = m - n; dequantize is the transpose.  The angular sums run
-over the grid's D4 orbits (528 at n = 64), each folded by a 4-point DFT.  The
-cached tables of a window hold radii x N(N+1)/2 reals and a phase table of
-2 x orbits x (2N-1) complex: 8.8 MB at (N, n) = (64, 64), where the dense
-stack took 268 MB.
+over the nodes of each radius and applies one real (radii x (N - d)) block
+per diagonal pair m - n = +-d, as one product with the two diagonals side by
+side; dequantize is the transpose.  The angular sums run over the grid's D4
+orbits (528 at n = 64), each folded by a 4-point DFT.  The cached tables of a
+window hold radii x N(N+1)/2 reals, a phase table of 2 x orbits x (2N-1)
+complex and the index map of quantize's operand: 9.2 MB at (N, n) = (64, 64),
+where the dense stack took 268 MB.
 
 Matrix-element generation notes: one recurrence builds every entry.  With
 x = r^2, R_{k+d,k}(r) = c_d(x) p_k^(d)(x), where c_d(x) = x^(d/2) e^(-x/2) /
@@ -119,6 +120,14 @@ class DeformationMatrix:
 # J_alpha, the Jacobi matrix of the Laguerre polynomials L^(alpha), and its
 # orthonormal polynomials p_k = sqrt(k! alpha! / (k + alpha)!) L_k^(alpha): the
 # displacement entries and the Fock-basis passes of qeuclid.calculus read them.
+#
+# Both live on the diagonals m - n = +-alpha of an N x N matrix, at the entries
+# k = min(m, n) < N - alpha of each, and are stored in one paired layout: slab
+# p in [0, N//2] holds the diagonal p in its rows r < N - p (k = r) and the
+# diagonal N - p in its rows r >= N - p (k = r - N + p).  The N(N+1)/2 entries
+# of a triangle thus fill (N//2 + 1) x N rows with no padding, except that for
+# even N the slab p = N/2 holds its diagonal once and leaves its last N/2 rows
+# empty.  Each diagonal is one run of rows of the flattened layout.
 
 
 @functools.lru_cache(maxsize=2)
@@ -129,27 +138,71 @@ def _jacobi(N: int) -> tuple[np.ndarray, np.ndarray]:
     return 2 * k + alpha + 1, np.sqrt((k + 1) * (k + alpha + 1))
 
 
+@dataclass(frozen=True)
+class _Diagonals:
+    """The paired layout of the diagonals of an N x N matrix; row (p, r) is flat row p N + r."""
+
+    alpha: np.ndarray  # (N//2 + 1, N): the diagonal |m - n| of each row
+    k: np.ndarray  # (N//2 + 1, N): its entry min(m, n)
+    start: np.ndarray  # (N,): the flat row of entry 0 of the diagonal alpha
+    index: np.ndarray  # (N//2 + 1, N, 2): flat entries (k + alpha, k), (k, k + alpha); N*N for none
+    halves: np.ndarray  # (N//2 + 1, N, 2, 2): index in the half [first, second diagonal] of the row, N*N in the other
+
+
+@functools.lru_cache(maxsize=2)
+def _diagonals(N: int) -> _Diagonals:
+    p, r = np.arange(N // 2 + 1)[:, None], np.arange(N)[None, :]
+    first = r < N - p
+    alpha = np.where(first, p, N - p)
+    k = np.where(first, r, r - N + p)
+    live = first | (p < N - p)  # the last N/2 rows of the slab N/2 of an even N are empty
+    index = np.stack(
+        [np.where(live, (k + alpha) * N + k, N * N), np.where(live & (alpha > 0), k * N + k + alpha, N * N)], axis=-1
+    )
+    halves = np.where(np.stack([first, ~first], axis=-1)[..., None], index[:, :, None, :], N * N)
+    d = np.arange(N)
+    start = np.where(2 * d <= N, d * N, (N - d) * N + d)
+    for arr in (alpha, k, start, index, halves):
+        arr.setflags(write=False)
+    return _Diagonals(alpha, k, start, index, halves)
+
+
 def _laguerre_values(lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P[k, alpha, j] = c[alpha, j] p_k(lam[alpha, j]) for the L^(alpha) family at the
-    degrees k < N - alpha that the diagonal m - n = +-alpha uses; 0 for larger k."""
-    N = lam.shape[0]
+    """Q[p, r, j] = c[alpha, j] p_k(lam[alpha, j]) on the row (p, r) of the paired layout that
+    holds entry k of the diagonal alpha, for the L^(alpha) family at the degrees k < N - alpha; 0
+    on empty rows.  Each slab runs its first diagonal's recurrence down its rows, then starts its
+    second one from c.  Q is a view of an array stored row by row (r, p, j), so each step of the
+    recurrence is one contiguous block."""
+    N, P = lam.shape[0], lam.shape[0] // 2 + 1
+    lay = _diagonals(N)
     a, b = _jacobi(N)
-    P = np.zeros((N,) + lam.shape)
-    P[0] = c
-    tmp = np.empty(lam.shape)
-    for k in range(N - 1):
-        m = N - k - 1  # the rows alpha < m use degree k + 1
-        np.subtract(a[k, :m], lam[:m], out=tmp[:m])
-        np.multiply(tmp[:m], P[k, :m], out=P[k + 1, :m])
-        if k:
-            np.multiply(b[k - 1, :m], P[k - 1, :m], out=tmp[:m])
-            P[k + 1, :m] -= tmp[:m]
-        P[k + 1, :m] /= b[k, :m]
-    return P
+    A, D = a[lay.k.T, lay.alpha.T], b[lay.k.T, lay.alpha.T]  # (row, slab, 1)
+    C = np.where((lay.k < N - 1 - lay.alpha).T[..., None], D, 0.0)  # 0 on each diagonal's last row
+    second = lay.alpha[:, -1]  # the diagonal of each slab's last row
+    lam2 = lam[second]
+    c2 = np.where(lay.index[:, -1, :1] < N * N, c[second], 0.0)  # 0 for an empty second half
+    Q = np.empty((N, P) + lam.shape[1:])
+    Q[0] = c[:P]
+    tmp = np.empty(lam2.shape)
+    for r in range(N - 1):
+        m = N - 1 - r  # slab m starts its second diagonal at row r + 1; the slabs after it are in theirs
+        s = min(m + 1, P)
+        np.subtract(A[r, :s], lam[:s], out=tmp[:s])
+        if s < P:
+            np.subtract(A[r, s:], lam2[s:], out=tmp[s:])
+        np.multiply(tmp, Q[r], out=Q[r + 1])
+        if r:
+            np.multiply(C[r - 1], Q[r - 1], out=tmp)
+            Q[r + 1] -= tmp
+        Q[r + 1] /= D[r]
+        if m < P:
+            Q[r + 1, m] = c2[m]
+    return Q.transpose(1, 0, *range(2, Q.ndim))
 
 
 def _radial_values(x: np.ndarray, N: int) -> np.ndarray:
-    """P[k, d, b] = R_{k+d,k}(r_b) = <k+d|D(r_b)|k> at x = r_b^2, for k < N - d; 0 for larger k.
+    """Q[p, r, b] = R_{k+d,k}(r_b) = <k+d|D(r_b)|k> at x = r_b^2 on the row (p, r) of the paired
+    layout that holds entry k of the diagonal d.
 
     R_{k+d,k} = c_d p_k^(d) with c_d(x) = x^(d/2) e^(-x/2) / sqrt(d!), taken in log space.
     """
@@ -168,16 +221,13 @@ def _displacement_block(alphas: np.ndarray, N: int) -> np.ndarray:
     entry (k, k + d) is (-1)^d e^{-i d phi} R_{k+d,k}(r).
     """
     alphas = np.asarray(alphas, dtype=complex).ravel()
-    B = alphas.size
-    P = _radial_values(np.abs(alphas) ** 2, N)
-    out = np.empty((B, N * N), dtype=complex)
-    for d in range(N):
-        lower, upper = _diagonal_slices(N, d)
-        phase = np.exp(1j * d * np.angle(alphas))[:, None]
-        out[:, lower] = phase * P[: N - d, d].T
-        if d:
-            out[:, upper] = (-1) ** d * phase.conj() * P[: N - d, d].T
-    return out.reshape(B, N, N)
+    lay = _diagonals(N)
+    R = _radial_values(np.abs(alphas) ** 2, N)
+    phase = np.exp(1j * np.arange(N)[:, None] * np.angle(alphas))[lay.alpha]
+    out = np.empty((alphas.size, N * N + 1), dtype=complex)  # column N*N takes the empty rows
+    out[:, lay.index[..., 0]] = (phase * R).transpose(2, 0, 1)
+    out[:, lay.index[..., 1]] = ((-1.0) ** lay.alpha[..., None] * phase.conj() * R).transpose(2, 0, 1)
+    return out[:, :-1].reshape(alphas.size, N, N)
 
 
 def displacement_matrix(theta: DeformationMatrix, t, N: int) -> np.ndarray:
@@ -214,9 +264,17 @@ def displacement_matrix(theta: DeformationMatrix, t, N: int) -> np.ndarray:
 # (odd n) have 4, 4 and 1 distinct members; their repeated slots are empty.
 # The phase table holds e^{+-i d phi0} per orbit, with the diagonals folded by
 # their residue: row (b, o, s), column j holds d = 4j + b - (N-1), and is 0
-# past d = N-1.  quantize sums each radius's orbits into its first orbit,
+# past d = N-1.  On the diagonals d < 0 it also holds the sign (-1)^d of
+# R_d = (-1)^d R_{-d}, so the block R_{|d|} serves both triangles unsigned.  quantize sums each radius's orbits into its first orbit,
 # adding the k-th orbit of the radii that have one (at most 4 orbits per
-# radius at n = 64, 5 at n = 96, 6 at n = 128), then gathers the first orbits.
+# radius at n = 64, 5 at n = 96, 6 at n = 128).
+#
+# The radial stage is one real product per diagonal d >= 0, with d and -d side
+# by side as 4 real columns: quantize multiplies R_d^T by A[d] = (G_d,
+# (-1)^d G_{-d}), gathered from the first orbits through operand_index, into
+# the rows of the diagonal d of the paired layout (_diagonals); dequantize
+# multiplies R_d by the rows (x_d, x_{-d}) of that layout into H[d], which the
+# orbit sums read through product_index.
 
 
 @dataclass(frozen=True)
@@ -228,8 +286,9 @@ class _RadialTables:
     members: np.ndarray  # (orbits, 2, 4) node of the member (s, k); n*n for an empty slot
     dft: np.ndarray  # (4, 4): dft[k, b] = i^{k m_b}, m_b = (b - N + 1) mod 4
     phases: np.ndarray  # (4 * orbits * 2, ceil((2N-1)/4)) folded e^{+-i d phi0}, rows (b, o, s)
-    first_orbit: np.ndarray  # (radii,) the first orbit of each radius
     more_orbits: tuple  # more_orbits[k - 1], (2, .): the first and the (k+1)-th orbit of the radii with one
+    operand_index: np.ndarray  # (N, radii, 2): flat entry of the orbit sums (b, o, j) that quantize's A[d, g] reads
+    product_index: np.ndarray  # (2, 4, ceil((2N-1)/4)): the (|d|, d < 0) of H[d, g] that the orbit sums (b, ., j) read
     blocks: tuple  # blocks[d] = R on the diagonal m - n = d >= 0, shape (radii, N - d)
 
 
@@ -256,9 +315,11 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
     members[X == 0, 0, 1:] = n * n  # the centre
 
     J = -(-(2 * N - 1) // 4)
-    t = np.arange(4 * J).reshape(J, 4).T[:, None, None, :]  # t[b, j] = 4j + b = d + N - 1
+    d = np.arange(4 * J).reshape(J, 4).T - (N - 1)  # d[b, j] = 4j + b - (N - 1)
     signed_phi = np.arctan2(Y, X)[:, None, None] * np.array([1.0, -1.0])[:, None]  # (o, s, 1)
-    phases = np.where(t <= 2 * N - 2, np.exp(1j * (t - (N - 1)) * signed_phi), 0.0).reshape(8 * O, J)
+    db = d[:, None, None, :]
+    sign = np.where(db < 0, (-1.0) ** db, 1.0)  # (-1)^d on the diagonals d < 0
+    phases = np.where(db <= N - 1, sign * np.exp(1j * db * signed_phi), 0.0).reshape(8 * O, J)
 
     m = (np.arange(4) - (N - 1)) % 4
     dft = 1j ** ((np.arange(4)[:, None] * m[None, :]) % 4)
@@ -268,24 +329,31 @@ def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables
         more_orbits.append(np.stack([first, first + k]))
 
     radii = np.sqrt(h / 2.0) * (half_width / n) * np.sqrt(keys)
+    # A[d, g, c] reads the orbit sums at (b, first orbit of g, j) with 4j + b = N - 1 + d for
+    # c = 0 and N - 1 - d for c = 1
+    td = N - 1 + np.arange(N)[:, None] * np.array([1, -1])
+    operand_index = ((td % 4) * O * J + td // 4)[:, None, :] + (first_orbit * J)[:, None]
+    # the orbit sums (b, o, j) read H[|d|, radius of o, d < 0] for d = 4j + b - (N-1), and
+    # H[0, ., 1] past d = N - 1: the product of R_0 with the empty -0 columns, which is 0
+    product_index = np.stack([np.where(d <= N - 1, np.abs(d), 0), np.where(d <= N - 1, d < 0, 1)])
+
     blocks = tuple(np.empty((radii.size, N - d)) for d in range(N))
-    # each batch's Laguerre table holds batch * N^2 values, 1.1 MB at 2**17;
-    # each batch also runs its own N-step recurrence, so at (128, 64) the
-    # recurrences take 0.07 s, against 0.12 s at 2**16 and 0.03 s at 2**20,
-    # whose 8.7 MB table would raise the peak RSS of the building process
+    # each batch's Laguerre table holds batch * (N//2 + 1) * N values, 0.54 MB
+    # at 2**17; each batch also runs its own N-step recurrence, so at (128, 64)
+    # the recurrences take 0.12 s, against 0.22 s at 2**16 and 0.03 s at 2**20,
+    # whose 4.3 MB table would raise the peak RSS of the building process
+    start = _diagonals(N).start
     batch = max(1, 2**17 // (N * N))
-    for start in range(0, radii.size, batch):
-        P = _radial_values(radii[start : start + batch] ** 2, N)
+    for b0 in range(0, radii.size, batch):
+        R = _radial_values(radii[b0 : b0 + batch] ** 2, N)
+        R = R.reshape(-1, R.shape[-1])
         for d, blk in enumerate(blocks):
-            blk[start : start + batch] = P[: N - d, d].T
-    for arr in (radii, orbit_radius, members, dft, phases, first_orbit, *more_orbits, *blocks):
+            blk[b0 : b0 + batch] = R[start[d] : start[d] + N - d].T
+    for arr in (radii, orbit_radius, members, dft, phases, *more_orbits, operand_index, product_index, *blocks):
         arr.setflags(write=False)
-    return _RadialTables(radii, orbit_radius, members, dft, phases, first_orbit, tuple(more_orbits), blocks)
-
-
-def _diagonal_slices(N: int, d: int) -> tuple[slice, slice]:
-    """Flat-index slices of the diagonals m - n = d and m - n = -d of an N x N matrix."""
-    return slice(d * N, None, N + 1), slice(d, d + (N - d - 1) * (N + 1) + 1, N + 1)
+    return _RadialTables(
+        radii, orbit_radius, members, dft, phases, tuple(more_orbits), operand_index, product_index, blocks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,36 +460,32 @@ def quantize(
     # each radius's sum G_d(r_g) builds up in its first orbit's slot
     for first, other in tab.more_orbits:
         S[:, first] += S[:, other]
-    # G_d(r_g) in row d + N - 1 = 4j + b, as a (radii, 2) real array
-    G = np.ascontiguousarray(S[:, tab.first_orbit].transpose(2, 0, 1)).view(float).reshape(4 * J, -1, 2)
-    vec = np.empty(N * N, dtype=complex)
-    out = vec.view(float).reshape(N * N, 2)
+    A = S.ravel()[tab.operand_index].view(float).reshape(N, -1, 4)  # A[d, g] = (G_d, (-1)^d G_{-d})(r_g)
+    lay = _diagonals(N)
+    Z = np.empty(lay.index.shape, dtype=complex)  # (x_d, x_{-d}) on the rows of the diagonal d
+    Zv = Z.view(float).reshape(-1, 4)
     for d, R in enumerate(tab.blocks):
-        lower, upper = _diagonal_slices(N, d)
-        out[lower] = R.T @ G[N - 1 + d]
-        if d:
-            out[upper] = (-1) ** d * (R.T @ G[N - 1 - d])
-    return QuantizedOperator(N, vec.reshape(N, N), theta, theta.trace_weight)
+        np.matmul(R.T, A[d], out=Zv[lay.start[d] : lay.start[d] + N - d])
+    vec = np.empty(N * N + 1, dtype=complex)  # entry N*N takes the empty rows
+    vec[lay.index] = Z
+    return QuantizedOperator(N, vec[:-1].reshape(N, N), theta, theta.trace_weight)
 
 
 def dequantize(x: QuantizedOperator, half_width: float, n: int) -> SymbolGrid:
     """x_hat(s) = c Tr(x U(s)^dagger) on every node of the requested grid."""
     N = x.fock_dim
     tab = _radial_tables(x.theta.h, half_width, n, N)
-    # np.asarray in QuantizedOperator keeps strided views; the real view needs unit stride
-    xv = np.ascontiguousarray(x.matrix).reshape(N * N).view(float).reshape(N * N, 2)
     O, J = tab.orbit_radius.size, tab.phases.shape[1]
-    # H_d(r) = R_d x_d per diagonal, row d + N - 1 of a (4J, radii) array; the padding rows stay 0
-    H = np.zeros((4 * J, tab.radii.size), dtype=complex)
-    Hv = H.view(float).reshape(4 * J, -1, 2)
+    lay = _diagonals(N)
+    X = np.append(x.matrix, 0.0)[lay.index]  # (x_d, x_{-d}) on the rows of the diagonal d; 0 on none
+    Xv = X.view(float).reshape(-1, 4)
+    H = np.empty((N, tab.radii.size, 2), dtype=complex)  # H[d] = R_d (x_d, x_{-d}) = (H_d, (-1)^d H_{-d})
+    Hv = H.view(float).reshape(N, -1, 4)
     for d, R in enumerate(tab.blocks):
-        lower, upper = _diagonal_slices(N, d)
-        Hv[N - 1 + d] = R @ xv[lower]
-        if d:
-            Hv[N - 1 - d] = (-1) ** d * (R @ xv[upper])
+        np.matmul(R, Xv[lay.start[d] : lay.start[d] + N - d], out=Hv[d])
     # Y[b, o, s] = sum_j e^{+-i d phi0} H_d(r_o), d = 4j + b - (N-1), which the members
     # (-s, k) read: x_hat = c sum_b i^{-k m_b} Y[b, o, s]
-    Hg = H.reshape(J, 4, -1).transpose(1, 2, 0)[:, tab.orbit_radius, :, None]
+    Hg = H[tab.product_index[0], :, tab.product_index[1]].transpose(0, 2, 1)[:, tab.orbit_radius, :, None]
     Y = (tab.phases.reshape(4, O, 2, J) @ Hg).reshape(4, 2 * O)
     vals = np.empty(n * n + 1, dtype=complex)  # the empty slots all land in the last entry
     vals[tab.members[:, ::-1]] = x.trace_weight * (Y.T @ tab.dft.conj().T).reshape(O, 2, 4)

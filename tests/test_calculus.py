@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qeuclid import calculus
+from qeuclid import calculus, weyl
 from qeuclid.calculus import (
     MultiplierSymbol,
     apply_multiplier,
@@ -316,14 +316,21 @@ def test_thermal_element_transform_and_heat_probe(backend):
     assert np.abs(probe - x1.matrix).max() < 1e-14 * np.abs(x1.matrix).max()
 
 
-@pytest.mark.parametrize("N", [64, 128])
-@pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 20.0])
-@pytest.mark.parametrize("a, shift", [(1.0, 0), (0.5, 1), (0.5, 10)])
+HEAT_TIMES = (0.5, 1.0, 5.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "a, shift, t, N",
+    [(a, shift, t, N) for N in (63, 64, 128) for t in HEAT_TIMES for a, shift in [(1.0, 0), (0.5, 1), (0.5, 10)]]
+    + [(0.25, shift, t, N) for N in (2, 3, 63) for t in HEAT_TIMES for shift in sorted({0, 1, N - 1})],
+)
 def test_heat_pass_is_the_thermal_flow(theta, N, t, a, shift):
     # e^{t Lap} x_a = x_{a+t}, and the derivation ad_{a^dag} commutes with it,
     # so the diagonals m - n = +-shift flow in closed form too.  The pass is
     # P e^{t Lap} P; it equals the flow of the untruncated element because these
-    # inputs hold less than 1e-14 of their mass beyond N.
+    # inputs hold less than 1e-14 of their mass beyond N, or none: at a = h/4,
+    # x_a is the vacuum projector and its shift-d derivation the one entry
+    # (d, 0).  Shift N - 1 > N/2 is the second diagonal of its slab (N = 3, 63).
     out = calculus.fock_pass(heat_symbol(t), thermal(theta, a, N, shift))
     assert rel_gap(out, thermal(theta, a + t, N, shift)) < 1e-12
 
@@ -373,6 +380,7 @@ def test_heat_basis_cache_is_bitwise_neutral(backend, x):
     assert calculus._heat_basis.cache_info().hits == 1
     assert np.array_equal(cold, warm)
     Q = calculus._heat_basis(N, tau)
+    assert Q.shape == (N // 2 + 1, N, N)  # the paired slabs
     assert not Q.flags.writeable
     assert np.array_equal(Q, calculus._heat_basis.__wrapped__(N, tau))
 
@@ -388,13 +396,37 @@ def test_gauss_laguerre_rule_matches_numpy(N):
 
 def test_jacobi_eigenpairs_rebuild_the_jacobi_matrix():
     # V Lam V^T is the leading (N - alpha)^2 block of J_alpha at size M - alpha,
-    # written out here from its entries, and the rows of V are orthonormal
+    # written out here from its entries, and the rows of V are orthonormal; the
+    # diagonal alpha sits in slab p from row r, as the first (r = 0) or second
+    # diagonal of the slab
     N, M = 64, 128
     lam, V = calculus._jacobi_eigen(N, M)
+    assert (lam.shape, V.shape) == ((N // 2 + 1, M, 2), (N // 2 + 1, N, M))
     for alpha in range(0, N, 7):
         K, k = N - alpha, np.arange(N - alpha, dtype=float)
         off = -np.sqrt((k[:-1] + 1) * (k[:-1] + alpha + 1))
         J = np.diag(2 * k + alpha + 1) + np.diag(off, 1) + np.diag(off, -1)
-        Vk = V[alpha, :K, : M - alpha]
-        assert np.linalg.norm(Vk * lam[alpha, : M - alpha] @ Vk.T - J) <= 1e-13 * np.linalg.norm(J)
+        p, r = divmod(int(weyl._diagonals(N).start[alpha]), N)
+        Vk = V[p, r : r + K, : M - alpha]
+        assert np.linalg.norm(Vk * lam[p, : M - alpha, int(r > 0)] @ Vk.T - J) <= 1e-13 * np.linalg.norm(J)
         assert np.abs(Vk @ Vk.T - np.eye(K)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("N", [2, 3, 63, 64])
+@pytest.mark.parametrize("s", [-1.5, 1.0])
+def test_bessel_pass_matches_per_diagonal_eigh(theta, N, s):
+    # on each diagonal m - n = +-alpha the pass is the leading (N - alpha)^2 block
+    # of (1 + 2 J_alpha / h)^(s/2) at the inner size M - alpha, rebuilt here from
+    # a dense eigh of J_alpha, one diagonal at a time
+    M = calculus.BESSEL_INNER_FACTOR * N
+    rng = np.random.default_rng(N)
+    x = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    got = calculus.fock_pass(bessel_symbol(s), QuantizedOperator(N, x, theta, theta.trace_weight)).matrix
+    want = np.empty_like(x)
+    for alpha in range(N):
+        w, v = np.linalg.eigh(calculus._jacobi_matrix(M, alpha))
+        g = (v * (1.0 + 2.0 * w / theta.h) ** (s / 2.0) @ v.T)[: N - alpha, : N - alpha]
+        k = np.arange(N - alpha)
+        want[k + alpha, k] = g @ x[k + alpha, k]
+        want[k, k + alpha] = g @ x[k, k + alpha]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

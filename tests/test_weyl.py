@@ -408,6 +408,30 @@ def test_quantize_sums_every_orbit_of_a_radius():
     assert _rel(quantize(f, theta, N, boundary_gate=None).matrix, ref) <= 1e-13
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 63, 64])
+def test_paired_diagonal_layout(N):
+    # slab p holds the diagonal p in rows r < N - p and the diagonal N - p in the
+    # rest, so each entry of an N x N matrix has one place: N = 2 holds the slabs
+    # p = 0, 1; for even N the slab N/2 holds its diagonal once and leaves its
+    # last N/2 rows empty, and odd N leaves no row empty
+    lay = weyl._diagonals(N)
+    assert lay.index.shape == (N // 2 + 1, N, 2)
+    assert np.array_equal(np.sort(lay.index[lay.index < N * N]), np.arange(N * N))
+    empty = [(N // 2, r) for r in range(N // 2, N)] if N % 2 == 0 else np.empty((0, 2))
+    assert np.array_equal(np.argwhere(lay.index[..., 0] == N * N), empty)
+    for d in range(N):
+        p, r = divmod(int(lay.start[d]), N)
+        assert p == min(d, N - d) and r == (0 if 2 * d <= N else d)
+        k = np.arange(N - d)
+        assert np.array_equal(lay.alpha[p, r : r + N - d], np.full(N - d, d))
+        assert np.array_equal(lay.k[p, r : r + N - d], k)
+        assert np.array_equal(lay.index[p, r : r + N - d, 0], (k + d) * N + k)
+        assert np.array_equal(lay.index[p, r : r + N - d, 1], k * N + k + d if d else np.full(N, N * N))
+        # the pass operand keeps each row's pair in its own half and reads 0 in the other
+        assert np.array_equal(lay.halves[p, r : r + N - d, int(r > 0)], lay.index[p, r : r + N - d])
+        assert np.all(lay.halves[p, r : r + N - d, 1 - int(r > 0)] == N * N)
+
+
 def test_trace_weight_check_small_fock_dims():
     # the check's own Gaussian is exact at every Fock size, so only a wrong
     # weight makes it fail
