@@ -48,7 +48,6 @@ from .harness import (
     estimate_norm_ratio,
     fit_decay_slope,
     run_case,
-    run_suite,
 )
 from .oracle import ClassicalBackend
 

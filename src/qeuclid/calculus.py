@@ -62,8 +62,6 @@ def heat_symbol(t: float) -> MultiplierSymbol:
     """exp(-t |xi|^2)."""
     if t < 0:
         raise ValueError("heat time must be nonnegative")
-    if t == 0:
-        return constant_symbol(1.0)
     return MultiplierSymbol(
         f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lambda x, h: _heat(x, t, h)
     )
@@ -289,4 +287,4 @@ def fock_pass(g: MultiplierSymbol, x: QuantizedOperator) -> QuantizedOperator:
     """
     if g.fock is None:
         raise ValueError(f"multiplier {g.label} has no Fock-basis pass")
-    return QuantizedOperator(x.fock_dim, g.fock(x.matrix, x.theta.h), x.theta, x.trace_weight)
+    return QuantizedOperator(g.fock(x.matrix, x.theta.h), x.theta)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import calculus, spectra, symbols, weyl
 from .calculus import MultiplierSymbol, bessel_symbol, derivative_symbol, heat_symbol
-from .errors import BoundaryDecayError, DomainError, FactorizationError
+from .errors import BoundaryDecayError, DomainError, FactorizationError, GridMismatchError
 from .spectra import SingularValueProfile
 from .symbols import SymbolGrid, lebesgue_norm, lorentz_norm
 from .weyl import BOUNDARY_GATE, DeformationMatrix, dequantize, quantize
@@ -48,7 +48,6 @@ __all__ = [
     "registry_ids",
     "run_case",
     "run_index",
-    "run_suite",
     "trial_plan",
     "estimate_norm_ratio",
     "heat_decay_ratios",
@@ -162,7 +161,7 @@ class Backend:
                 w = rng.uniform(self.width_floor, 2.0)
                 amp = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
                 comps.append({"center": c.tolist(), "width": w, "amp": [amp.real, amp.imag]})
-                r2 = sum((m - ci) ** 2 for m, ci in zip(self._meshes, c))
+                r2 = symbols._radius_sq([m - ci for m, ci in zip(self._meshes, c)])
                 vals = vals + amp * np.exp(-r2 / (2 * w * w))
             f = SymbolGrid(d, L, self.n, vals)
             if f.boundary_decay() < BOUNDARY_GATE:
@@ -279,7 +278,8 @@ class MoyalBackend(Backend):
     def pair_trace(self, x: RandomElement, y: RandomElement) -> complex:
         """tau(x y^*) = c sum_{mn} x_mn conj(y_mn)."""
         a, b = x.payload, y.payload
-        a._check_compatible(b)
+        if a.fock_dim != b.fock_dim or a.theta.h != b.theta.h:
+            raise GridMismatchError("operators live in different quantizations")
         return complex(a.trace_weight * np.sum(a.matrix * np.conj(b.matrix)))
 
 
@@ -750,23 +750,6 @@ def run_index(backend, rows: Sequence[tuple[str, dict, int]]) -> list[TheoremCas
     return [run_case(backend, tid, params, seed, drawn) for tid, params, seed in rows]
 
 
-def run_suite(
-    backend,
-    tid: str,
-    n_trials: int,
-    master_seed: int,
-    params_grid: Optional[list] = None,
-) -> tuple[list[TheoremCase], RatioSummary]:
-    """Run the ``n_trials`` cases of :func:`trial_plan` and summarize.
-
-    The fitted constant is the max finite ratio; batch constants split the
-    trials in half for stability checks.
-    """
-    plan = trial_plan(backend, tid, n_trials, master_seed, params_grid)
-    cases = [run_case(backend, tid, params, seed) for params, seed in plan]
-    return cases, summarize_cases(tid, cases)
-
-
 def trial_plan(
     backend, tid: str, n_trials: int, master_seed: int, params_grid: Optional[list] = None
 ) -> list[tuple[dict, int]]:
@@ -785,6 +768,8 @@ def trial_plan(
 
 
 def summarize_cases(tid: str, cases: Sequence[TheoremCase]) -> RatioSummary:
+    """The fitted constant is the max finite ratio; the batch constants, of the
+    two halves of the cases, check its stability."""
     ratios = np.array([c.ratio for c in cases], dtype=float)
     finite = ratios[np.isfinite(ratios)]
     fitted = float(finite.max()) if finite.size else math.nan

@@ -51,8 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BoundaryDecayError, GridMismatchError
-from .symbols import SymbolGrid, axis_nodes
+from .errors import BoundaryDecayError
+from .symbols import SymbolGrid, _radius_sq, axis_nodes
 
 __all__ = [
     "DeformationMatrix",
@@ -72,32 +72,18 @@ TRACE_WEIGHT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class DeformationMatrix:
-    """Antisymmetric 2x2 deformation matrix in canonical form h*[[0,-1],[1,0]]."""
+    """The canonical deformation theta = h*[[0,-1],[1,0]], fixed by h in H_RANGE."""
 
-    d: int
-    entries: np.ndarray
-    canonical_h: float
+    h: float
+
+    def __post_init__(self):
+        if not (H_RANGE[0] <= self.h <= H_RANGE[1]):
+            raise ValueError(f"h={self.h} outside supported range {H_RANGE}")
+        object.__setattr__(self, "h", float(self.h))
 
     @classmethod
     def canonical(cls, h: float) -> "DeformationMatrix":
-        if not (H_RANGE[0] <= h <= H_RANGE[1]):
-            raise ValueError(f"h={h} outside supported range {H_RANGE}")
-        entries = h * np.array([[0.0, -1.0], [1.0, 0.0]])
-        return cls(d=2, entries=entries, canonical_h=float(h))
-
-    def __post_init__(self):
-        if self.d != 2:
-            raise ValueError("only the d=2 canonical block is supported")
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (2, 2) or not np.array_equal(e, -e.T):
-            raise ValueError("deformation matrix must be exactly antisymmetric 2x2")
-        if self.canonical_h <= 0 or not np.isclose(e[1, 0], self.canonical_h):
-            raise ValueError("entries must equal h*[[0,-1],[1,0]] with h>0")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def h(self) -> float:
-        return self.canonical_h
+        return cls(h)
 
     @property
     def trace_weight(self) -> float:
@@ -292,8 +278,6 @@ class _RadialTables:
     blocks: tuple  # blocks[d] = R on the diagonal m - n = d >= 0, shape (radii, N - d)
 
 
-# The cached helpers key on theta.h: DeformationMatrix holds an ndarray and
-# does not hash.
 @functools.lru_cache(maxsize=2)
 def _radial_tables(h: float, half_width: float, n: int, N: int) -> _RadialTables:
     a = 2 * np.arange(n) - n + 1
@@ -388,8 +372,7 @@ def _validate_trace_weight(h: float, N: int) -> None:
     alpha_extent = 2.0 * L * np.sqrt(h / 2.0)
     n = int(np.ceil((2.0 * np.sqrt(N) + 10.0) * alpha_extent / np.pi / 16.0)) * 16
     s = axis_nodes(L, n)
-    T1, T2 = np.meshgrid(s, s, indexing="ij")
-    r2 = T1**2 + T2**2
+    r2 = _radius_sq(np.meshgrid(s, s, indexing="ij"))
     c = DeformationMatrix.canonical(h).trace_weight
     tau = c * np.sum(np.exp(-h * r2 / 4.0) * _trace_kernel(h * r2 / 2.0, N)) * (2 * L / n) ** 2
     if abs(tau - 1.0) > TRACE_WEIGHT_TOL:
@@ -406,26 +389,29 @@ def _validate_trace_weight(h: float, N: int) -> None:
 
 @dataclass
 class QuantizedOperator:
-    """A truncated-Fock-basis matrix with its deformation data and trace weight."""
+    """A square truncated-Fock-basis matrix and the deformation it was quantized with.
 
-    fock_dim: int
+    The Fock size N and the trace weight c = h / 2pi of tau = c Tr follow from them.
+    """
+
     matrix: np.ndarray
     theta: DeformationMatrix
-    trace_weight: float
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.fock_dim, self.fock_dim):
-            raise ValueError("matrix shape does not match fock_dim")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix contains NaN or Inf")
-        if self.trace_weight <= 0:
-            raise ValueError("trace weight must be positive")
         self.matrix = mat
 
-    def _check_compatible(self, other: "QuantizedOperator") -> None:
-        if self.fock_dim != other.fock_dim or self.theta.h != other.theta.h:
-            raise GridMismatchError("operators live in different quantizations")
+    @property
+    def fock_dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def trace_weight(self) -> float:
+        return self.theta.trace_weight
 
 
 def quantize(
@@ -468,7 +454,7 @@ def quantize(
         np.matmul(R.T, A[d], out=Zv[lay.start[d] : lay.start[d] + N - d])
     vec = np.empty(N * N + 1, dtype=complex)  # entry N*N takes the empty rows
     vec[lay.index] = Z
-    return QuantizedOperator(N, vec[:-1].reshape(N, N), theta, theta.trace_weight)
+    return QuantizedOperator(vec[:-1].reshape(N, N), theta)
 
 
 def dequantize(x: QuantizedOperator, half_width: float, n: int) -> SymbolGrid:

@@ -301,7 +301,7 @@ def thermal(theta, a, N, shift=0):
         x = (1 - r) * raise_op @ x
     if shift:
         x = x + x.conj().T
-    return QuantizedOperator(N, x[:N, :N], theta, theta.trace_weight)
+    return QuantizedOperator(x[:N, :N], theta)
 
 
 def rel_gap(a, b):
@@ -351,11 +351,14 @@ def test_bessel_pass_inner_size_converged(backend, drawn, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g", [derivative_symbol(0), derivative_symbol(1), heat_symbol(0.5), heat_symbol(1.0)], ids=lambda g: g.label
+    "g",
+    [derivative_symbol(0), derivative_symbol(1), heat_symbol(0.0), heat_symbol(0.5), heat_symbol(1.0)],
+    ids=lambda g: g.label,
 )
 def test_fock_pass_matches_grid_pass(backend, drawn, g):
     # where the grid resolves g * x_hat (derivations, heat with t <= 1), the
-    # two passes agree; MoyalBackend.apply takes the Fock pass and sets no symbol
+    # two passes agree; MoyalBackend.apply takes the Fock pass and sets no
+    # symbol, at t = 0 too
     for el in drawn:
         out = backend.apply(g, el)
         assert out.symbol is None
@@ -421,7 +424,7 @@ def test_bessel_pass_matches_per_diagonal_eigh(theta, N, s):
     M = calculus.BESSEL_INNER_FACTOR * N
     rng = np.random.default_rng(N)
     x = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    got = calculus.fock_pass(bessel_symbol(s), QuantizedOperator(N, x, theta, theta.trace_weight)).matrix
+    got = calculus.fock_pass(bessel_symbol(s), QuantizedOperator(x, theta)).matrix
     want = np.empty_like(x)
     for alpha in range(N):
         w, v = np.linalg.eigh(calculus._jacobi_matrix(M, alpha))

@@ -15,21 +15,21 @@ from qeuclid.harness import (
     registry_ids,
     run_case,
     run_index,
-    run_suite,
     sobolev_scale_sweep,
+    summarize_cases,
     trial_plan,
 )
 from qeuclid import calculus, spectra
 from qeuclid.calculus import constant_symbol, heat_symbol
-from qeuclid.errors import DomainError
-from qeuclid.weyl import QuantizedOperator
+from qeuclid.errors import DomainError, GridMismatchError
+from qeuclid.weyl import DeformationMatrix, QuantizedOperator
 
 
 def scaled_element(backend, el, lam):
     x = el.payload
     out = RandomElement(
         symbol=el.symbol.with_samples(lam * el.symbol.samples),
-        payload=QuantizedOperator(x.fock_dim, lam * x.matrix, x.theta, x.trace_weight),
+        payload=QuantizedOperator(lam * x.matrix, x.theta),
         spec=el.spec,
     )
     return out
@@ -202,29 +202,34 @@ def test_registry_ids_complete():
 # ---------------------------------------------------------------------------
 
 
+def run_trials(backend, tid, n_trials, master_seed):
+    """The suite's trials of trial_plan, each a fresh run_case, and their summary."""
+    cases = [run_case(backend, tid, params, seed) for params, seed in trial_plan(backend, tid, n_trials, master_seed)]
+    return cases, summarize_cases(tid, cases)
+
+
 def test_suite_single_trial_matches_case(small_backend):
     params = REGISTRY["R2"].params_fn(small_backend)
-    cases, summary = run_suite(small_backend, "R2", 1, 99, params_grid=params)
     case = run_case(small_backend, "R2", params[0], trial_plan(small_backend, "R2", 1, 99, params)[0][1])
-    assert cases[0].ratio == case.ratio
+    summary = summarize_cases("R2", [case])
     assert summary.trials == 1 and summary.fitted_constant == case.ratio
 
 
 def test_suite_deterministic(small_backend):
-    c1, s1 = run_suite(small_backend, "R4", 6, 1234)
-    c2, s2 = run_suite(small_backend, "R4", 6, 1234)
+    c1, s1 = run_trials(small_backend, "R4", 6, 1234)
+    c2, s2 = run_trials(small_backend, "R4", 6, 1234)
     assert [c.ratio for c in c1] == [c.ratio for c in c2]
     assert s1.fitted_constant == s2.fitted_constant
 
 
 def test_suite_constant_one_all_pass(small_backend):
-    cases, summary = run_suite(small_backend, "R2", 30, 7)
+    cases, summary = run_trials(small_backend, "R2", 30, 7)
     assert summary.failures == 0
     assert summary.fitted_constant <= 1.0 + 1e-3
 
 
 def test_suite_empirical_fit_and_batches(small_backend):
-    cases, summary = run_suite(small_backend, "R5", 20, 3)
+    cases, summary = run_trials(small_backend, "R5", 20, 3)
     assert summary.failures == 0
     assert math.isfinite(summary.fitted_constant)
     assert len(summary.batch_constants) == 2
@@ -245,7 +250,7 @@ def test_failure_policy_counts_and_continues(small_backend, monkeypatch):
         return orig(backend, params, els)
 
     monkeypatch.setitem(REGISTRY, "R2", dataclasses.replace(entry, compute_fn=flaky))
-    cases, summary = run_suite(small_backend, "R2", 9, 5)
+    cases, summary = run_trials(small_backend, "R2", 9, 5)
     assert summary.failures == 3
     assert sum(1 for c in cases if c.reason == "DomainError: synthetic numeric failure") == 3
     assert all(math.isfinite(c.ratio) for c in cases if c.reason == "")
@@ -295,7 +300,7 @@ def test_empirical_trial_passes_any_finite_ratio(small_backend, monkeypatch):
         return 1e300, 1.0
 
     monkeypatch.setitem(REGISTRY, "R5", dataclasses.replace(REGISTRY["R5"], compute_fn=huge_then_error))
-    cases, summary = run_suite(small_backend, "R5", 2, 0)
+    cases, summary = run_trials(small_backend, "R5", 2, 0)
     assert [c.passed for c in cases] == [True, False]
     assert cases[1].reason == "DomainError: synthetic numeric failure"
     assert summary.failures == 1 and summary.fitted_constant == 1e300
@@ -386,6 +391,19 @@ def _svd_norm(el, p):
     return spectra.schatten_norm(spectra.singular_profile(el.payload), p)
 
 
+def test_pair_trace_refuses_other_quantizations(small_backend, theta):
+    b = small_backend
+    N = b.fock_dim
+    m = np.eye(N, dtype=complex)
+    x = RandomElement(None, QuantizedOperator(m, theta), {})
+    assert b.pair_trace(x, x) == pytest.approx(N * theta.trace_weight, rel=1e-15)
+    for other in (QuantizedOperator(m, DeformationMatrix(2.0)), QuantizedOperator(m[:-1, :-1], theta)):
+        y = RandomElement(None, other, {})
+        for a, c in ((x, y), (y, x)):
+            with pytest.raises(GridMismatchError, match="different quantizations"):
+                b.pair_trace(a, c)
+
+
 def test_moyal_norm_two_and_four_match_svd(small_backend, theta):
     # MoyalBackend.norm takes p = 2 and 4 from the matrix; the SVD profile is the oracle
     b = small_backend
@@ -396,11 +414,11 @@ def test_moyal_norm_two_and_four_match_svd(small_backend, theta):
         els.append(b.apply(g, x))
     rng = np.random.default_rng(7)
     low_rank = rng.normal(size=(N, 3)) @ (rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N)))
-    els.append(RandomElement(None, QuantizedOperator(N, low_rank, theta, theta.trace_weight), {}))
+    els.append(RandomElement(None, QuantizedOperator(low_rank, theta), {}))
     for el in els:
         for p in (2.0, 4.0):
             assert b.norm(el, p) == pytest.approx(_svd_norm(el, p), rel=1e-13, abs=0)
-    zero = RandomElement(None, QuantizedOperator(N, np.zeros((N, N)), theta, theta.trace_weight), {})
+    zero = RandomElement(None, QuantizedOperator(np.zeros((N, N)), theta), {})
     assert b.norm(zero, 2.0) == b.norm(zero, 4.0) == _svd_norm(zero, 4.0) == 0.0
     # a cached profile does not change the rule
     fresh = b.sample_element(derive_seed(5, 9))

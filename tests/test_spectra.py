@@ -9,7 +9,7 @@ from qeuclid.weyl import DeformationMatrix, QuantizedOperator, dequantize, quant
 
 
 def op_from_matrix(mat, theta):
-    return QuantizedOperator(mat.shape[0], mat, theta, theta.trace_weight)
+    return QuantizedOperator(mat, theta)
 
 
 def random_op(rng, theta, N=24):

@@ -51,14 +51,33 @@ def closed_form_displacement(alpha, N):
 
 
 def test_canonical_form(theta):
-    assert np.array_equal(theta.entries, np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert theta == DeformationMatrix(1.0)
+    assert theta.h == 1.0 and isinstance(DeformationMatrix(2).h, float)
     assert theta.trace_weight == pytest.approx(1 / (2 * np.pi))
+    assert DeformationMatrix.canonical(2.5).trace_weight == pytest.approx(2.5 / (2 * np.pi))
 
 
-@pytest.mark.parametrize("h", [0.05, 11.0, -1.0])
+@pytest.mark.parametrize("h", [0.05, 11.0, -1.0, float("nan")])
 def test_h_range_rejected(h):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside supported range"):
         DeformationMatrix.canonical(h)
+    with pytest.raises(ValueError, match="outside supported range"):
+        DeformationMatrix(h)
+
+
+def test_quantized_operator_checks_and_derived_fields(theta):
+    theta2 = DeformationMatrix(2.0)
+    x = QuantizedOperator(np.eye(5, dtype=int), theta2)
+    assert x.matrix.dtype == complex
+    assert x.fock_dim == 5 and x.trace_weight == theta2.trace_weight
+    for shape in ((4, 5), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="must be square"):
+            QuantizedOperator(np.zeros(shape), theta)
+    for bad in (np.nan, np.inf):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            QuantizedOperator(m, theta)
 
 
 @given(st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
@@ -245,7 +264,7 @@ def test_roundtrip_gaussians(theta):
 def test_dequantize_zero(theta):
     f = gaussian_mixture(8.0, 32, [(1.0, 0.0, 0.0, 0.8)])
     x = quantize(f, theta, 32)
-    x = QuantizedOperator(x.fock_dim, 0.0 * x.matrix, x.theta, x.trace_weight)
+    x = QuantizedOperator(0.0 * x.matrix, x.theta)
     assert np.all(dequantize(x, 8.0, 32).samples == 0)
 
 
@@ -271,8 +290,8 @@ def test_quantize_dequantize_adjointness(theta):
 def test_trace_linearity_and_conjugation(theta):
     f = gaussian_mixture(8.0, 48, [(1.0 + 0.5j, 0.3, -0.2, 0.8)])
     x = quantize(f, theta, 48)
-    scaled = QuantizedOperator(x.fock_dim, 2.0j * x.matrix, x.theta, x.trace_weight)
-    adjoint = QuantizedOperator(x.fock_dim, x.matrix.conj().T, x.theta, x.trace_weight)
+    scaled = QuantizedOperator(2.0j * x.matrix, x.theta)
+    adjoint = QuantizedOperator(x.matrix.conj().T, x.theta)
     assert trace_tau(scaled) == pytest.approx(2.0j * trace_tau(x), rel=1e-12)
     assert trace_tau(adjoint) == pytest.approx(np.conj(trace_tau(x)), rel=1e-12)
 
@@ -316,14 +335,14 @@ def test_radial_tables_match_direct_sums(n, N, h, L, seed):
         s = axis_nodes(L, m)
         U = [[displacement_matrix(theta, (s[i], s[j]), N) for j in range(m)] for i in range(m)]
         f = SymbolGrid(2, L, m, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        x = QuantizedOperator(N, rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta, c)
+        x = QuantizedOperator(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta)
         got = quantize(f, theta, N, boundary_gate=None).matrix
         ref = sum(f.samples[i, j] * U[i][j] for i in range(m) for j in range(m)) * f.cell_volume
         assert _rel(got, ref) <= 1e-13
         ref = np.array([[c * np.sum(x.matrix * np.conj(U[i][j])) for j in range(m)] for i in range(m)])
         assert _rel(dequantize(x, L, m).samples, ref) <= 1e-13
         # the same matrix as a strided view, which QuantizedOperator keeps
-        xs = QuantizedOperator(N, np.repeat(x.matrix, 2, axis=1)[:, ::2], theta, c)
+        xs = QuantizedOperator(np.repeat(x.matrix, 2, axis=1)[:, ::2], theta)
         assert not xs.matrix.flags.c_contiguous
         assert np.array_equal(dequantize(xs, L, m).samples, dequantize(x, L, m).samples)
 
@@ -382,7 +401,7 @@ def test_large_window_matches_direct_sums():
     f = SymbolGrid(2, L, n, vals)
     ref = sum(vals[p] * U[p] for p in picks) * f.cell_volume
     assert _rel(quantize(f, theta, N, boundary_gate=None).matrix, ref) <= 1e-13
-    x = QuantizedOperator(N, rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta, c)
+    x = QuantizedOperator(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), theta)
     got = dequantize(x, L, n).samples
     assert _rel(np.array([got[p] for p in picks]), np.array([c * np.sum(x.matrix * np.conj(U[p])) for p in picks])) <= 1e-13
 
