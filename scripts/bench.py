@@ -2,10 +2,11 @@
 """Per-layer timings of the Moyal kernels at the reference windows, and
 end-to-end timings of the default ``verify`` runs.
 
-For each window (N, n) it starts ``REPEATS`` fresh processes.  Each one
+Every measurement runs in a fresh process on one source tree.  For each
+window (N, n) and each tree it starts ``REPEATS`` fresh processes.  Each one
 times with ``time.perf_counter``:
 
-- ``build_tables_s``: importing ``qeuclid`` from ``--src`` and
+- ``build_tables_s``: importing ``qeuclid`` from its tree and
   ``MoyalBackend(...).build_tables()``, which runs the trace-weight check and
   builds the window's cached tables, imports included; ``table_mb`` is the
   bytes the quantization tables hold, and ``fock_table_mb`` the bytes of the
@@ -27,7 +28,7 @@ the median over the processes of each process's median, except
 ``maxrss_mb``, which is the largest.
 
 For each default config in ``VERIFY_RUNS`` (moyal and classical, at 1 and 2
-workers) it starts ``REPEATS`` fresh processes.  Each one calls
+workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
 ``cli.cmd_verify`` once, writing into a temporary directory, and records:
 
 - ``wall_s``, the call's wall time, and ``ms_per_trial``, that over the
@@ -41,10 +42,15 @@ workers) it starts ``REPEATS`` fresh processes.  Each one calls
 Every figure is the median over the processes, except the two maxrss
 figures, which are the largest.  BLAS runs on one thread.
 
-    python3 scripts/bench.py --src src --label change --out BENCH_new.json
+The trees' processes are interleaved: each repeat of a window or a verify run
+starts one process per tree, in the order the trees are given on even
+repeats and in reverse order on odd ones, so drift of the host over the run
+falls on every tree alike.
 
-Results go under ``runs[label]`` of ``--out``; other labels already in the
-file are kept, so two source trees can be measured into one file.
+    python3 scripts/bench.py --tree parent=../parent/src --tree change=src --out BENCH_new.json
+
+Each tree's results go under ``runs[LABEL]`` of ``--out``, which is written
+anew; with no ``--tree`` the one tree is ``current=src``.
 """
 
 import argparse
@@ -171,16 +177,23 @@ def measure_verify(backend: str, workers: int) -> dict:
     return out
 
 
-def _fresh_runs(src: Path, *child_args: str) -> list[dict]:
-    """REPEATS fresh ``--child`` processes on ``src``, with BLAS on one thread."""
+def _fresh_run(src: Path, *child_args: str) -> dict:
+    """One fresh ``--child`` process on ``src``, with BLAS on one thread."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), **{v: "1" for v in THREAD_VARS})
     env.pop("QEUCLID_WORKERS", None)
-    runs = []
-    for _ in range(REPEATS):
-        cmd = [sys.executable, __file__, "--child", *child_args]
-        out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
-        runs.append(json.loads(out.splitlines()[-1]))
-    return runs
+    cmd = [sys.executable, __file__, "--child", *child_args]
+    out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def interleaved(trees: dict, *child_args: str) -> dict:
+    """Each tree's median figures over REPEATS fresh processes, started tree by
+    tree within a repeat, the order reversed on every other repeat."""
+    runs = {label: [] for label in trees}
+    for r in range(REPEATS):
+        for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
+            runs[label].append(_fresh_run(trees[label], *child_args))
+    return {label: _median_runs(tree_runs) for label, tree_runs in runs.items()}
 
 
 def _median_runs(runs: list[dict]) -> dict:
@@ -196,14 +209,6 @@ def _median_runs(runs: list[dict]) -> dict:
     return out
 
 
-def run_window(src: Path, N: int, n: int) -> dict:
-    return {"N": N, "n": n, **_median_runs(_fresh_runs(src, "window", f"{N},{n}"))}
-
-
-def run_verify(src: Path, backend: str, workers: int) -> dict:
-    return {"backend": backend, "workers": workers, **_median_runs(_fresh_runs(src, "verify", f"{backend},{workers}"))}
-
-
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -214,8 +219,15 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
+def tree_arg(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
+    return label, Path(src)
+
+
 def main() -> int:
-    if sys.argv[1:2] == ["--child"]:  # internal: one measurement, started by _fresh_runs
+    if sys.argv[1:2] == ["--child"]:  # internal: one measurement, started by _fresh_run
         what, arg = sys.argv[2:4]
         if what == "window":
             N, n = (int(v) for v in arg.split(","))
@@ -225,28 +237,36 @@ def main() -> int:
             print(json.dumps(measure_verify(backend, int(workers))))
         return 0
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--src", type=Path, default=Path("src"), help="directory that holds the qeuclid package")
-    ap.add_argument("--label", default="current")
-    ap.add_argument("--out", type=Path, required=True, help="JSON file to create or update")
+    ap.add_argument(
+        "--tree", action="append", type=tree_arg, metavar="LABEL=DIR",
+        help="a directory that holds the qeuclid package, and its label; repeat it to measure several trees",
+    )
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args()
+    pairs = args.tree or [("current", Path("src"))]
+    trees = dict(pairs)
+    if len(trees) != len(pairs):
+        ap.error("every --tree needs its own label")
 
-    windows = []
+    runs = {label: {"windows": [], "verify": []} for label in trees}
     for N, n in WINDOWS:
-        windows.append(run_window(args.src, N, n))
-        print(json.dumps(windows[-1]), flush=True)
-    verify = []
+        for label, figures in interleaved(trees, "window", f"{N},{n}").items():
+            runs[label]["windows"].append({"N": N, "n": n, **figures})
+            print(json.dumps({"tree": label, **runs[label]["windows"][-1]}), flush=True)
     for backend, workers in VERIFY_RUNS:
-        verify.append(run_verify(args.src, backend, workers))
-        print(json.dumps(verify[-1]), flush=True)
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["machine"] = {
-        "cpus": os.cpu_count(),
-        "processor": cpu_model(),
-        "python": platform.python_version(),
-        "blas_threads": 1,
+        for label, figures in interleaved(trees, "verify", f"{backend},{workers}").items():
+            runs[label]["verify"].append({"backend": backend, "workers": workers, **figures})
+            print(json.dumps({"tree": label, **runs[label]["verify"][-1]}), flush=True)
+    doc = {
+        "machine": {
+            "cpus": os.cpu_count(),
+            "processor": cpu_model(),
+            "python": platform.python_version(),
+            "blas_threads": 1,
+        },
+        "protocol": {"h": H, "half_width": HALF_WIDTH, "calls": CALLS, "repeats": REPEATS},
+        "runs": runs,
     }
-    doc["protocol"] = {"h": H, "half_width": HALF_WIDTH, "calls": CALLS, "repeats": REPEATS}
-    doc.setdefault("runs", {})[args.label] = {"windows": windows, "verify": verify}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -25,12 +25,13 @@ import numpy as np
 
 from . import calculus, harness, symbols
 from .harness import MoyalBackend, registry_ids
-from .oracle import CLASSICAL_IDS, ClassicalBackend
+from .oracle import ClassicalBackend
 
 __all__ = ["RunConfig", "SuiteConfig", "default_config", "cmd_verify", "cmd_probe", "main"]
 
 CONSTANT_ONE_TRIALS = 100
 EMPIRICAL_TRIALS = 200
+CLASSICAL_TRIALS = 50
 
 
 @dataclass
@@ -87,11 +88,6 @@ class RunConfig:
         for s in self.suites:
             if s.theorem not in harness.REGISTRY:
                 raise ValueError(f"unknown theorem id {s.theorem!r}")
-            if self.backend == "classical" and s.theorem not in CLASSICAL_IDS:
-                raise ValueError(
-                    f"{s.theorem} is not available on the classical backend "
-                    f"(allowed: {', '.join(CLASSICAL_IDS)})"
-                )
             if s.theorem in seen:
                 raise ValueError(f"{s.theorem} is listed twice")
             seen.add(s.theorem)
@@ -117,20 +113,23 @@ def make_backend(cfg: RunConfig):
 
 
 def default_config(backend: str = "moyal") -> RunConfig:
+    """The shipped run: every suite on the Moyal plane, eight on the classical
+    backend's wide window.  A slope suite runs once."""
     if backend == "classical":
-        suites = [SuiteConfig(tid, 50 if tid != "R10" else 1) for tid in CLASSICAL_IDS]
-        return RunConfig(backend="classical", grid_half_width=64.0, grid_points=4096, suites=suites)
-    suites = []
-    for tid in registry_ids():
-        entry = harness.REGISTRY[tid]
-        if entry.mode == "slope":
+        cfg = RunConfig(backend="classical", grid_half_width=64.0, grid_points=4096)
+        tids = ("R1", "R2", "R3", "R4", "R5", "R9", "R10", "R14")
+    else:
+        cfg, tids = RunConfig(), registry_ids()
+    for tid in tids:
+        mode = harness.REGISTRY[tid].mode
+        if mode == "slope":
             trials = 1
-        elif entry.mode == "empirical":
-            trials = EMPIRICAL_TRIALS
+        elif backend == "classical":
+            trials = CLASSICAL_TRIALS
         else:
-            trials = CONSTANT_ONE_TRIALS
-        suites.append(SuiteConfig(tid, trials))
-    return RunConfig(suites=suites)
+            trials = EMPIRICAL_TRIALS if mode == "empirical" else CONSTANT_ONE_TRIALS
+        cfg.suites.append(SuiteConfig(tid, trials))
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ index alone, so trial i of every suite reads the same elements, drawn once
 per index (:func:`run_index`).
 
 The verifier logic is backend-agnostic: the same registry runs against the
-Fock-truncated backend here and against the one-dimensional commutative
-backend in :mod:`qeuclid.oracle`.  Both subclass :class:`Backend`, which owns
+Fock-truncated backend here and against the commutative backend in
+:mod:`qeuclid.oracle`.  Both subclass :class:`Backend`, which owns
 the element life cycle and the multiplier pass, so every multiplier the
 suites use (heat flow, Bessel potential, derivation) is one ``backend.apply``.
 On the classical backend that is :func:`qeuclid.calculus.apply_multiplier` on
@@ -115,7 +115,7 @@ class Backend:
     transform, ``_profile(payload)`` and ``pair_trace(x, y)`` = tau(x y^*).  It
     sets ``dim``, the draw's smallest component width ``width_floor`` and the
     heat probe's rate ``heat_rate``, may raise ``allocator_settle_bytes``, and
-    passes its window (``half_width``, ``n``) to this constructor, which
+    takes its window (``half_width``, ``n``) through this constructor, which
     refuses a window no grid can hold.
     """
 
@@ -229,7 +229,7 @@ class MoyalBackend(Backend):
     heat_rate = 1.0
     allocator_settle_bytes = 8 << 20
 
-    def __init__(self, h: float = 1.0, fock_dim: int = 64, half_width: float = 8.0, n: int = 64):
+    def __init__(self, h: float, fock_dim: int, half_width: float, n: int):
         if fock_dim < 2:
             raise ValueError(f"Fock dimension must be at least 2, got {fock_dim}")
         super().__init__(half_width, n)
@@ -297,7 +297,6 @@ class TheoremCase:
     ratio: float
     passed: bool
     seed: int
-    element_spec: dict = field(default_factory=dict)
     reason: str = ""
 
 
@@ -570,9 +569,9 @@ def _r17_admissible(backend, params):
 def _r18(backend, params, els):
     (x,) = els
     d = backend.dim
-    # ||x||_{W^{1,2}} = ||x||_2 + ||d2 x||_2 + ||d1 x||_2, summed in this order
+    # ||x||_{W^{1,2}} = ||x||_2 + ||d_d x||_2 + ... + ||d_1 x||_2, summed in this order
     w12 = backend.norm(x, 2.0)
-    for axis in (1, 0):
+    for axis in reversed(range(d)):
         w12 += backend.norm(backend.apply(derivative_symbol(axis), x), 2.0)
     lhs = backend.norm(x, 2.0) ** (1.0 + 2.0 / d)
     rhs = w12 * backend.norm(x, 1.0) ** (2.0 / d)
@@ -723,19 +722,18 @@ def run_case(backend, tid: str, params: dict, seed: int, drawn: Optional[list] =
     while len(drawn) < entry.n_elements:
         drawn.append(backend.sample_element(derive_seed(seed, "element", len(drawn))))
     els = drawn[: entry.n_elements]
-    spec = els[0].spec if els else {}
     try:
         lhs, rhs = entry.compute_fn(backend, params, els)
     except _TRIAL_ERRORS as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        return TheoremCase(tid, params, math.nan, math.nan, math.nan, False, seed, spec, reason=reason)
+        return TheoremCase(tid, params, math.nan, math.nan, math.nan, False, seed, reason=reason)
     if rhs != 0:
         ratio = lhs / rhs
     else:
         ratio = 0.0 if lhs == 0 else math.inf
     finite = math.isfinite(ratio)
     passed = bool(finite and ratio <= 1.0 + entry.tol)
-    return TheoremCase(tid, params, lhs, rhs, ratio, passed, seed, spec, reason="" if finite else "nonfinite ratio")
+    return TheoremCase(tid, params, lhs, rhs, ratio, passed, seed, reason="" if finite else "nonfinite ratio")
 
 
 def run_index(backend, rows: Sequence[tuple[str, dict, int]]) -> list[TheoremCase]:

@@ -134,8 +134,7 @@ def sample_symbol(
     """Sample one of the built-in closed-form families.
 
     Families:
-      * ``gaussian``: amp * exp(-a |s - center|^2) * prod_j s_j^power_j
-        * exp(i (s, wave))
+      * ``gaussian``: exp(-a |s - center|^2)
 
     The heat and Bessel symbols are :mod:`qeuclid.calculus` multipliers;
     ``evaluate_multiplier`` samples them on a grid.
@@ -149,20 +148,11 @@ def sample_symbol(
 
     if family == "gaussian":
         a = float(params.get("a", 0.5))
-        amp = complex(params.get("amp", 1.0))
         center = params.get("center", (0.0,) * dim)
-        power = params.get("power", (0,) * dim)
-        wave = params.get("wave", (0.0,) * dim)
         if not np.isfinite(a) or a <= 0:
             raise ValueError("gaussian decay rate a must be positive and finite")
         shifted = [m - c for m, c in zip(meshes, center)]
-        vals = amp * np.exp(-a * _radius_sq(shifted))
-        for m, k in zip(meshes, power):
-            if k:
-                vals = vals * m**k
-        phase = sum(m * w for m, w in zip(meshes, wave))
-        if np.any(np.asarray(wave) != 0.0):
-            vals = vals * np.exp(1j * phase)
+        vals = np.exp(-a * _radius_sq(shifted))
     else:
         raise ValueError(f"unknown symbol family {family!r}")
 

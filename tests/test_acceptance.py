@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from conftest import cli_env
 
+from qeuclid import cli
 from qeuclid.calculus import evaluate_multiplier, heat_symbol
 from qeuclid.harness import MoyalBackend, fit_decay_slope, sobolev_scale_sweep
-from qeuclid.oracle import ClassicalBackend
 from qeuclid.spectra import SingularValueProfile, entropy_term
 from qeuclid.symbols import SymbolGrid, hormander_constant, sample_symbol
 from qeuclid.weyl import (
@@ -272,7 +272,7 @@ def test_criterion_8_embedding_gate():
 
 
 def test_criterion_9_classical_backend(verify_artifacts, tmp_path):
-    backend = ClassicalBackend()
+    backend = cli.make_backend(cli.default_config("classical"))
     el = backend.sample_element(0)
     lhs = backend.pair_trace(el, el).real
     xhat = backend.fourier(el)

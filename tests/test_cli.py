@@ -156,10 +156,24 @@ def test_verify_unknown_theorem_exits_one(tmp_path):
     assert cmd_verify(cfg) == 1
 
 
-def test_classical_backend_id_restriction(tmp_path):
+def test_classical_backend_runs_r16(tmp_path):
     cfg = small_config(tmp_path / "out", suites=("R16",), backend="classical")
     cfg.grid_half_width, cfg.grid_points = 64.0, 1024
-    assert cmd_verify(cfg) == 1
+    assert cmd_verify(cfg) == 0
+
+
+def test_classical_backend_runs_every_registry_suite(tmp_path):
+    # no suite is reserved to the Moyal backend: each plans and computes its
+    # rows on the commutative one, R18's derivations included
+    out = tmp_path / "out"
+    cfg = small_config(out, suites=harness.registry_ids(), backend="classical")
+    cfg.grid_half_width, cfg.grid_points = 64.0, 1024
+    assert cmd_verify(cfg) in (0, 2)
+    with open(out / "cases.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({r["theorem"] for r in rows}, key=lambda t: int(t[1:])) == harness.registry_ids()
+    assert len(rows) == 4 * len(harness.registry_ids())
+    assert [r for r in rows if r["reason"]] == []
 
 
 def test_default_config_covers_registry():
@@ -297,8 +311,7 @@ out = tempfile.mkdtemp()
 cfg = cli.RunConfig(backend=sys.argv[1], fock_dim=32, grid_points=48, master_seed=5, workers=1, out_dir=out)
 if cfg.backend == "classical":
     cfg.grid_half_width, cfg.grid_points = 64.0, 1024
-ids = cli.CLASSICAL_IDS if cfg.backend == "classical" else harness.registry_ids()
-cfg.suites = [cli.SuiteConfig(tid, 2) for tid in ids]
+cfg.suites = [cli.SuiteConfig(tid, 2) for tid in harness.registry_ids()]
 codes = [cli.cmd_verify(cfg)]
 if cfg.backend == "moyal":
     codes += [cli.main(["probe", what, "--N", "24", "--npts", "5", "--trials", "2", "--symbol", "bessel",

@@ -26,13 +26,13 @@ from qeuclid.weyl import DeformationMatrix, QuantizedOperator
 
 
 def scaled_element(backend, el, lam):
+    """lam * el: its Fock matrix on the Moyal backend, its position samples on the classical one."""
     x = el.payload
-    out = RandomElement(
-        symbol=el.symbol.with_samples(lam * el.symbol.samples),
-        payload=QuantizedOperator(lam * x.matrix, x.theta),
-        spec=el.spec,
-    )
-    return out
+    if isinstance(x, QuantizedOperator):
+        payload = QuantizedOperator(lam * x.matrix, x.theta)
+    else:
+        payload = x.with_samples(lam * x.samples)
+    return RandomElement(symbol=el.symbol.with_samples(lam * el.symbol.samples), payload=payload, spec=el.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +169,18 @@ def test_run_index_shares_draws(small_backend, monkeypatch):
 SCALE_INVARIANT_IDS = ["R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R11", "R12", "R14", "R15", "R18"]
 
 
-@pytest.mark.parametrize("tid", SCALE_INVARIANT_IDS)
-def test_ratio_scale_invariance(small_backend, tid):
+@pytest.mark.parametrize(
+    "backend_name, tid",
+    [pytest.param("small_backend", tid, id=tid) for tid in SCALE_INVARIANT_IDS]
+    + [pytest.param("classical_backend", tid, id=f"classical-{tid}") for tid in SCALE_INVARIANT_IDS],
+)
+def test_ratio_scale_invariance(request, backend_name, tid):
+    backend = request.getfixturevalue(backend_name)
     entry = REGISTRY[tid]
-    params = entry.params_fn(small_backend)[0]
-    el = small_backend.sample_element(23)
-    lhs0, rhs0 = entry.compute_fn(small_backend, params, [el])
-    lhs1, rhs1 = entry.compute_fn(small_backend, params, [scaled_element(small_backend, el, 3.7)])
+    params = entry.params_fn(backend)[0]
+    el = backend.sample_element(23)
+    lhs0, rhs0 = entry.compute_fn(backend, params, [el])
+    lhs1, rhs1 = entry.compute_fn(backend, params, [scaled_element(backend, el, 3.7)])
     assert lhs1 / rhs1 == pytest.approx(lhs0 / rhs0, rel=1e-10)
 
 

@@ -8,6 +8,7 @@ from qeuclid.symbols import (
     SymbolGrid,
     axis_nodes,
     classical_fourier,
+    grid_meshes,
     hormander_constant,
     lebesgue_norm,
     lorentz_norm,
@@ -112,11 +113,12 @@ def test_fourier_shift_modulation():
 
 
 def test_fourier_parseval_unnormalized():
+    g = gaussian2(n=128)
     for f in (
         sample_symbol("gaussian", {"a": 0.7, "center": (0.4, -0.2)}, 8.0, 128),
         sampled(heat_symbol(0.5), 8.0, 128),
         sampled(bessel_symbol(-6.0), 8.0, 128),
-        sample_symbol("gaussian", {"a": 0.5, "power": (0, 1), "amp": 1j}, 8.0, 128),
+        g.with_samples(1j * g.samples * grid_meshes(g)[1]),
     ):
         fh = classical_fourier(f)
         lhs = lebesgue_norm(f, 2) ** 2
@@ -353,11 +355,16 @@ def test_hormander_zero_and_range():
 
 
 def test_hormander_invariance_under_modulus_and_refinement():
-    g1 = sample_symbol("gaussian", {"a": 0.5, "wave": (1.0, 0.0)}, 8.0, 128, dim=2)
+    def modulated(n):
+        # exp(-|s|^2 / 2) exp(i s_1)
+        g = gaussian2(n=n)
+        return g.with_samples(g.samples * np.exp(1j * grid_meshes(g)[0]))
+
+    g1 = modulated(128)
     g2 = g1.with_samples(np.abs(g1.samples))
     a = hormander_constant(g1, 1.5, 3.0)
     assert hormander_constant(g2, 1.5, 3.0) == pytest.approx(a, rel=1e-9)
-    g3 = sample_symbol("gaussian", {"a": 0.5, "wave": (1.0, 0.0)}, 8.0, 256, dim=2)
+    g3 = modulated(256)
     assert hormander_constant(g3, 1.5, 3.0) == pytest.approx(a, rel=2e-2)
 
 
