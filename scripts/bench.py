@@ -37,7 +37,10 @@ workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
   over its trial count.  A trial that draws an element pays for the draw;
   trials that read an element drawn earlier at their trial index do not;
 - ``maxrss_mb`` and ``children_maxrss_mb``, ``ru_maxrss`` of the process and
-  of its largest waited-for child: at 2 workers, the largest pool worker.
+  of its largest waited-for child: at 2 workers, the largest pool worker;
+- ``minflt``, the minor page faults (``ru_minflt``) the process took during
+  the call, and ``children_minflt``, those of its waited-for children: the
+  pool workers, summed.
 
 Every figure is the median over the processes, except the two maxrss
 figures, which are the largest.  BLAS runs on one thread.
@@ -163,17 +166,21 @@ def measure_verify(backend: str, workers: int) -> dict:
     harness.run_case = timed_case
     with tempfile.TemporaryDirectory() as tmp:
         cfg.out_dir = tmp
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = perf_counter()
         rc = cli.cmd_verify(cfg)
         wall = perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if rc not in (0, 2):
         raise SystemExit(f"verify --backend {backend} exited {rc}")
     trials = sum(s.n_trials for s in cfg.suites)
     out = {"rc": rc, "trials": trials, "wall_s": wall, "ms_per_trial": wall / trials * 1e3}
     if workers == 1:
         out["suite_ms_per_trial"] = {s.theorem: suite_s[s.theorem] / s.n_trials * 1e3 for s in cfg.suites}
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    out["children_maxrss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    out["children_maxrss_mb"] = children.ru_maxrss / 1024
+    out["minflt"], out["children_minflt"] = faults, children.ru_minflt
     return out
 
 

@@ -8,7 +8,6 @@ fixed, seed-derived way regardless of the pool layout.
 
 import argparse
 import csv
-import gc
 import hashlib
 import json
 import math
@@ -54,9 +53,7 @@ class RunConfig:
     suites: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["suites"] = [asdict(s) if isinstance(s, SuiteConfig) else s for s in self.suites]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
@@ -83,6 +80,8 @@ class RunConfig:
         """
         if self.backend not in ("moyal", "classical"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if not self.suites:
+            raise ValueError("no suites to run")
         backend = make_backend(self)
         suite_rows, seen = [], set()
         for s in self.suites:
@@ -210,14 +209,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             # gets BLAS's own threads.  A pthreads OpenBLAS (numpy's wheels) is
             # still fork-safe; a BLAS on GNU OpenMP can hang the workers, and
             # its callers should run with QEUCLID_WORKERS=1.
-            # The workers' garbage collections skip the frozen objects they
-            # inherit, so they do not write to (and copy) the pages holding them.
-            gc.freeze()
-            try:
-                with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
-                    results = list(pool.map(_worker_task, tasks))
-            finally:
-                gc.unfreeze()
+            with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
+                results = list(pool.map(_worker_task, tasks))
     except RuntimeError as exc:
         # a dead pool worker (BrokenProcessPool), a failed trace-weight
         # validation or an element draw that never passed its gate

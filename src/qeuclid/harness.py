@@ -76,21 +76,6 @@ def derive_seed(master_seed: int, *parts) -> int:
 # Elements and backends
 # ---------------------------------------------------------------------------
 
-# glibc hands the top of its heap back to the system once more than its trim
-# threshold lies free there, and the next allocation faults those pages back
-# in.  Trials allocate and free many arrays of 32-64 KiB, so whether a
-# classical call paid ~10^4 page faults or ~300 turned on where the heap top
-# happened to fall, which moved with the length of the output path.  Freeing
-# one mmapped block raises glibc's dynamic mmap threshold to its size and the
-# trim threshold to twice that, as large frees in a running program do anyway;
-# other allocators ignore it.  1 MiB ends the faults; 256 KiB does not, and
-# 4 MiB moves arrays up to that size onto the heap, which raised the peak RSS.
-# A Moyal worker's heap swings further: the two workers of a moyal-registry
-# call took ~8300 page faults at 1, 2 or 4 MiB and ~5600 at 8 MiB, which also
-# cut the call's wall time by ~5 % and its peak RSS from 58.0 to 56.6 MB.
-_ALLOCATOR_SETTLE_BYTES = 1 << 20
-
-
 @dataclass
 class RandomElement:
     """A Schwartz-class element together with its generating symbol.
@@ -114,12 +99,9 @@ class Backend:
     symbol to the algebra element, ``_transform(payload)`` back to the
     transform, ``_profile(payload)`` and ``pair_trace(x, y)`` = tau(x y^*).  It
     sets ``dim``, the draw's smallest component width ``width_floor`` and the
-    heat probe's rate ``heat_rate``, may raise ``allocator_settle_bytes``, and
-    takes its window (``half_width``, ``n``) through this constructor, which
-    refuses a window no grid can hold.
+    heat probe's rate ``heat_rate``, and takes its window (``half_width``,
+    ``n``) through this constructor, which refuses a window no grid can hold.
     """
-
-    allocator_settle_bytes = _ALLOCATOR_SETTLE_BYTES
 
     def __init__(self, half_width: float, n: int):
         if n < 1:
@@ -195,10 +177,8 @@ class Backend:
         return RandomElement(symbol=gx, payload=self._payload(gx, None), spec=el.spec)
 
     def build_tables(self) -> None:
-        """Build the cached tables the trials read (none here) and settle the
-        allocator's trim threshold (see above); verify calls it before its pool
-        forks, so the workers inherit them."""
-        np.empty(self.allocator_settle_bytes, dtype=np.uint8)
+        """Build the cached tables the trials read (none here); verify calls it
+        before its pool forks, so the workers inherit them."""
 
     def fourier_grid(self) -> SymbolGrid:
         return SymbolGrid(self.dim, self.half_width, self.n, np.zeros((self.n,) * self.dim))
@@ -207,12 +187,9 @@ class Backend:
     def _meshes(self) -> tuple[np.ndarray, ...]:
         return symbols.grid_meshes(self.fourier_grid())
 
+    @functools.cached_property
     def paley_weight(self) -> tuple[SymbolGrid, float]:
         """Strictly positive weight (1+|s|^d)^-1 and its level functional M_h."""
-        return self._paley_weight
-
-    @functools.cached_property
-    def _paley_weight(self) -> tuple[SymbolGrid, float]:
         r2 = symbols._radius_sq(self._meshes)
         grid = self.fourier_grid().with_samples(1.0 / (1.0 + r2 ** (self.dim / 2)) + 0j)
         return grid, symbols.paley_weight_constant(grid)
@@ -227,7 +204,6 @@ class MoyalBackend(Backend):
     # floor sits just above 1/2.
     width_floor = 0.55
     heat_rate = 1.0
-    allocator_settle_bytes = 8 << 20
 
     def __init__(self, h: float, fock_dim: int, half_width: float, n: int):
         if fock_dim < 2:
@@ -245,8 +221,14 @@ class MoyalBackend(Backend):
 
     def build_tables(self) -> None:
         """The trace-weight check, the quantization tables of the window and the
-        tables of the Fock-basis passes."""
-        super().build_tables()
+        tables of the Fock-basis passes, after settling the allocator."""
+        # Freeing one mmapped 8 MiB block raises glibc's mmap threshold to 8 MiB
+        # and its trim threshold to 16 MiB, so the heap keeps the freed
+        # temporaries instead of handing them back and faulting them in again
+        # (other allocators ignore it).  A default moyal verify in a fresh
+        # process took 5142 minor faults with it and 8062 without at 1 worker,
+        # 5965 and 8903 at 2, at the same peak RSS (BENCH_19.json).
+        np.empty(8 << 20, dtype=np.uint8)
         N = self.fock_dim
         weyl._validate_trace_weight(self.theta.h, N)
         weyl._radial_tables(self.theta.h, self.half_width, self.n, N)
@@ -316,19 +298,25 @@ class RatioSummary:
 # ---------------------------------------------------------------------------
 
 
+#: a trial passes iff its ratio is finite and at most 1 + tol (inf: no fixed
+#: constant, the run fits one); the mode is also written to the summaries and
+#: sets the default trial count
+_MODE_TOL = {"equality": 1e-4, "one": 1e-3, "empirical": math.inf, "slope": 0.2}
+
+
 @dataclass(frozen=True)
 class TheoremEntry:
     tid: str
     title: str
-    # a trial passes iff its ratio is finite and at most 1 + tol (inf: no
-    # fixed constant, the run fits one); mode is a label, written to the
-    # summaries, that sets the default trial count
-    mode: str  # equality | one | empirical | slope
-    tol: float
+    mode: str  # a key of _MODE_TOL
     n_elements: int
     params_fn: Callable[[object], list[dict]]
     compute_fn: Callable[[object, dict, Sequence[RandomElement]], tuple[float, float]]
     admissible_fn: Optional[Callable[[object, dict], None]] = None
+
+    @property
+    def tol(self) -> float:
+        return _MODE_TOL[self.mode]
 
 
 def _grid_integral(f: SymbolGrid, g: SymbolGrid) -> complex:
@@ -380,7 +368,7 @@ def _r4(backend, params, els):
 def _r5(backend, params, els):
     (x,) = els
     p = params["p"]
-    hgrid, mh = backend.paley_weight()
+    hgrid, mh = backend.paley_weight
     lhs = _weighted_lp(backend.fourier(x), hgrid.samples.real ** (2 - p), p)
     rhs = mh ** ((2 - p) / p) * backend.norm(x, p)
     return lhs, rhs
@@ -408,7 +396,7 @@ def _r8(backend, params, els):
     (x,) = els
     p, r = params["p"], params["r"]
     pp = conjugate_exponent(p)
-    hgrid, mh = backend.paley_weight()
+    hgrid, mh = backend.paley_weight
     expo = r * (1.0 / r - 1.0 / pp)
     lhs = _weighted_lp(backend.fourier(x), hgrid.samples.real**expo, r)
     rhs = mh ** (1.0 / r - 1.0 / pp) * backend.norm(x, p)
@@ -613,58 +601,50 @@ def _thr(backend, p, q):
 
 
 REGISTRY: dict[str, TheoremEntry] = {
-    "R1": TheoremEntry("R1", "transform pairing identity", "equality", 1e-4, 2, lambda b: [{}], _r1),
-    "R2": TheoremEntry(
-        "R2", "transform p' bound", "one", 1e-3, 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2, _p_range(1, 2)
-    ),
-    "R3": TheoremEntry(
-        "R3", "quantization p' bound", "one", 1e-3, 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3, _p_range(1, 2)
-    ),
-    "R4": TheoremEntry(
-        "R4", "reverse transform bound", "one", 1e-3, 1, _p_grid(2.0, 3.0, 4.0), _r4, _p_range(2, math.inf)
-    ),
+    "R1": TheoremEntry("R1", "transform pairing identity", "equality", 2, lambda b: [{}], _r1),
+    "R2": TheoremEntry("R2", "transform p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2, _p_range(1, 2)),
+    "R3": TheoremEntry("R3", "quantization p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3, _p_range(1, 2)),
+    "R4": TheoremEntry("R4", "reverse transform bound", "one", 1, _p_grid(2.0, 3.0, 4.0), _r4, _p_range(2, math.inf)),
     "R5": TheoremEntry(
-        "R5", "weighted transform bound", "empirical", math.inf, 1, _p_grid(4.0 / 3.0, 1.5, 2.0), _r5, _p_range(1, 2)
+        "R5", "weighted transform bound", "empirical", 1, _p_grid(4.0 / 3.0, 1.5, 2.0), _r5, _p_range(1, 2)
     ),
     "R6": TheoremEntry(
-        "R6", "polynomial-weight transform bound", "empirical", math.inf, 1,
+        "R6", "polynomial-weight transform bound", "empirical", 1,
         lambda b: [{"p": p, "beta": bta} for p in (4.0 / 3.0, 2.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r6,
         _weighted_p_range(1, 2),
     ),
     "R7": TheoremEntry(
-        "R7", "inverse polynomial-weight bound", "empirical", math.inf, 1,
+        "R7", "inverse polynomial-weight bound", "empirical", 1,
         lambda b: [{"p": p, "beta": bta} for p in (2.0, 3.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r7,
         _weighted_p_range(2, math.inf),
     ),
     "R8": TheoremEntry(
-        "R8", "interpolated weighted bound", "empirical", math.inf, 1,
+        "R8", "interpolated weighted bound", "empirical", 1,
         lambda b: [{"p": p, "r": r} for p in (4.0 / 3.0, 1.5) for r in (p, 2.0, conjugate_exponent(p))],
         _r8,
         _r8_admissible,
     ),
     "R9": TheoremEntry(
-        "R9", "multiplier norm bound", "empirical", math.inf, 1,
+        "R9", "multiplier norm bound", "empirical", 1,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "t0": 1.0}, {"p": 2.0, "q": 4.0, "t0": 1.0}],
         _r9,
         _heat_admissible,
     ),
     # slope / (-gamma) <= 1.2: the probe decays no faster than t^(-1.2 gamma)
     "R10": TheoremEntry(
-        "R10", "heat decay slope", "slope", 0.2, 0,
+        "R10", "heat decay slope", "slope", 0,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "tmin": 0.5, "tmax": 20.0, "npts": 10}],
         _r10,
         _r10_admissible,
     ),
     "R11": TheoremEntry(
-        "R11", "Lorentz quantization bound", "empirical", math.inf, 1, _p_grid(4.0 / 3.0, 2.0), _r11, _p_range(1, 2)
+        "R11", "Lorentz quantization bound", "empirical", 1, _p_grid(4.0 / 3.0, 2.0), _r11, _p_range(1, 2)
     ),
-    "R12": TheoremEntry(
-        "R12", "Lorentz transform bound", "one", 1e-3, 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)
-    ),
+    "R12": TheoremEntry("R12", "Lorentz transform bound", "one", 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)),
     "R14": TheoremEntry(
-        "R14", "fractional embedding", "empirical", math.inf, 1,
+        "R14", "fractional embedding", "empirical", 1,
         lambda b: [
             {"p": 4.0 / 3.0, "q": 4.0, "s": _thr(b, 4.0 / 3.0, 4.0)},
             {"p": 4.0 / 3.0, "q": 4.0, "s": 1.5 * _thr(b, 4.0 / 3.0, 4.0)},
@@ -674,24 +654,24 @@ REGISTRY: dict[str, TheoremEntry] = {
         _r14_admissible,
     ),
     "R15": TheoremEntry(
-        "R15", "norm interpolation", "one", 1e-3, 1,
+        "R15", "norm interpolation", "one", 1,
         lambda b: [{"p": 1.0, "r": 4.0 / 3.0, "q": 2.0}, {"p": 4.0 / 3.0, "r": 2.0, "q": 4.0}, {"p": 2.0, "r": 3.0, "q": 6.0}],
         _r15,
         _r15_admissible,
     ),
     "R16": TheoremEntry(
-        "R16", "entropy bound", "one", 1e-3, 1,
+        "R16", "entropy bound", "one", 1,
         lambda b: [{"p": 1.0, "q": 2.0}, {"p": 4.0 / 3.0, "q": 3.0}, {"p": 2.0, "q": 4.0}],
         _r16,
         _r16_admissible,
     ),
     "R17": TheoremEntry(
-        "R17", "entropy-smoothness bound", "empirical", math.inf, 1,
+        "R17", "entropy-smoothness bound", "empirical", 1,
         lambda b: [{"p": 1.5, "s": s} for s in (b.dim / 6.0, 0.75 * b.dim / 1.5, 0.97 * b.dim / 1.5)],
         _r17,
         _r17_admissible,
     ),
-    "R18": TheoremEntry("R18", "gradient-trade bound", "empirical", math.inf, 1, lambda b: [{}], _r18),
+    "R18": TheoremEntry("R18", "gradient-trade bound", "empirical", 1, lambda b: [{}], _r18),
 }
 
 

@@ -33,8 +33,11 @@ class ClassicalBackend(Backend):
     dim = 1
     width_floor = 0.5
     heat_rate = 2.0  # position width 2
-    #: tau(F) = (2 pi)^-d int F
-    trace_scale = (2.0 * math.pi) ** dim
+
+    @property
+    def trace_scale(self) -> float:
+        """tau(F) = (2 pi)^-d int F."""
+        return (2.0 * math.pi) ** self.dim
 
     def _payload(self, f, boundary_gate):
         # F = lambda_0(f); the plain Fourier transform needs no symbol gate

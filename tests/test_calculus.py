@@ -196,11 +196,11 @@ def test_bessel_identity_and_inverse(backend, x):
 def test_bessel_minus_two_same_path(backend, x, classical_backend):
     # the Paley weight (1+|s|^d)^-1 of R5/R8 is the Bessel symbol of order -2
     # in d = 2, sample for sample, and 1/(1+|s|) in d = 1
-    weight, _ = backend.paley_weight()
+    weight, _ = backend.paley_weight
     out = apply_multiplier(bessel_symbol(-2.0), backend.fourier(x))
     assert np.array_equal(out.samples, weight.samples * backend.fourier(x).samples)
     s = axis_nodes(classical_backend.half_width, classical_backend.n)
-    assert np.array_equal(classical_backend.paley_weight()[0].samples, 1.0 / (1.0 + np.abs(s)) + 0j)
+    assert np.array_equal(classical_backend.paley_weight[0].samples, 1.0 / (1.0 + np.abs(s)) + 0j)
 
 
 def test_sobolev_norm_s0_is_lp(backend, x):

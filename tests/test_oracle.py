@@ -5,6 +5,7 @@ import pytest
 
 from qeuclid.calculus import constant_symbol, evaluate_multiplier, heat_symbol, translation_symbol
 from qeuclid.harness import REGISTRY, run_case
+from qeuclid.oracle import ClassicalBackend
 from qeuclid.symbols import hormander_constant, sample_symbol
 
 
@@ -80,7 +81,7 @@ def test_classical_heat_decay_slope(classical_backend):
 
 
 def test_classical_r5_weight_constant(classical_backend):
-    grid, mh = classical_backend.paley_weight()
+    grid, mh = classical_backend.paley_weight
     assert mh == pytest.approx(2.0, rel=5e-2)
     case = run_case(classical_backend, "R5", {"p": 4 / 3}, 2)
     assert math.isfinite(case.ratio) and case.ratio > 0
@@ -92,3 +93,21 @@ def test_report_shape_matches_moyal(small_backend, classical_backend):
     b = run_case(classical_backend, "R2", {"p": 4 / 3}, 1)
     assert set(vars(a)) == set(vars(b))
     assert a.theorem == b.theorem == "R2"
+
+
+class PlaneClassicalBackend(ClassicalBackend):
+    # the commutative backend at d = 2 with the Moyal backend's draw law
+    dim = 2
+    width_floor = 0.55
+    heat_rate = 1.0
+
+
+def test_classical_trace_scale_follows_dim():
+    # the trace weight (2 pi)^-d must follow a subclass's dim: with the d = 1
+    # weight, R2 at p = 2 reads sqrt(2 pi) and R1 misses its identity
+    backend = PlaneClassicalBackend(8.0, 64)
+    assert backend.trace_scale == (2.0 * math.pi) ** 2
+    for seed in (0, 1, 2):
+        for tid, params in (("R1", {}), ("R2", {"p": 2.0})):
+            case = run_case(backend, tid, params, seed)
+            assert abs(case.ratio - 1.0) <= REGISTRY[tid].tol, (tid, seed, case.ratio)
