@@ -227,7 +227,8 @@ class MoyalBackend(Backend):
         # temporaries instead of handing them back and faulting them in again
         # (other allocators ignore it).  A default moyal verify in a fresh
         # process took 5142 minor faults with it and 8062 without at 1 worker,
-        # 5965 and 8903 at 2, at the same peak RSS (BENCH_19.json).
+        # and 5965 and 8903 at 2, where the workers' own counts did not move;
+        # the peak RSS is the same (BENCH_19.json).
         np.empty(8 << 20, dtype=np.uint8)
         N = self.fock_dim
         weyl._validate_trace_weight(self.theta.h, N)
