@@ -21,6 +21,7 @@ for _var in (
 
 from .errors import BoundaryDecayError, DomainError, FactorizationError, GridMismatchError
 from .symbols import (
+    GaussianMixture,
     SymbolGrid,
     classical_fourier,
     hormander_constant,

@@ -113,8 +113,8 @@ class Backend:
 
     # -- elements
 
-    def element_from_symbol(self, f: SymbolGrid, spec: Optional[dict] = None) -> RandomElement:
-        return RandomElement(symbol=f, payload=self._payload(f, BOUNDARY_GATE), spec=spec or {})
+    def element_from_symbol(self, f: SymbolGrid) -> RandomElement:
+        return RandomElement(symbol=f, payload=self._payload(f, BOUNDARY_GATE), spec={})
 
     def sample_element(self, seed: int) -> RandomElement:
         """Random finite Gaussian mixture, redrawn until the boundary gate passes.
@@ -126,15 +126,14 @@ class Backend:
         accepted law is the proposal truncated by the gate: on the Moyal
         window (L = 8) the gate accepts no width above ~1.16 for a centred
         component (~0.87 at |c| = 2), and most draws take several attempts.
-        The classical window (L = 64) rejects none.
+        The classical window (L = 64) rejects none.  ``spec`` holds the
+        accepted components, which rebuild the samples as a GaussianMixture.
         """
         rng = np.random.default_rng(seed)
         L, d = self.half_width, self.dim
         for attempt in range(500):
-            k = int(rng.integers(1, 4))
             comps = []
-            vals = np.zeros((self.n,) * d, dtype=complex)
-            for _ in range(k):
+            for _ in range(int(rng.integers(1, 4))):
                 while True:
                     c = rng.uniform(-L / 4, L / 4, size=d)
                     # |c| as np.hypot rounds it: hypot(0, c1) = |c1|, then hypot(|c1|, c2)
@@ -142,19 +141,17 @@ class Backend:
                         break
                 w = rng.uniform(self.width_floor, 2.0)
                 amp = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
-                comps.append({"center": c.tolist(), "width": w, "amp": [amp.real, amp.imag]})
-                r2 = symbols._radius_sq([m - ci for m, ci in zip(self._meshes, c)])
-                vals = vals + amp * np.exp(-r2 / (2 * w * w))
-            f = SymbolGrid(d, L, self.n, vals)
+                comps.append((c.tolist(), w, amp))
+            f = SymbolGrid(d, L, self.n, symbols.GaussianMixture(tuple(comps)).value(self._meshes))
             if f.boundary_decay() < BOUNDARY_GATE:
-                spec = {"family": "gaussian_mixture", "seed": seed, "attempt": attempt, "components": comps}
-                return self.element_from_symbol(f, spec)
+                components = [{"center": c, "width": w, "amp": [amp.real, amp.imag]} for c, w, amp in comps]
+                spec = {"family": "gaussian_mixture", "seed": seed, "attempt": attempt, "components": components}
+                return RandomElement(f, self._payload(f, BOUNDARY_GATE), spec)
         raise RuntimeError("could not draw an element passing the boundary gate")
 
     def heat_probe(self) -> RandomElement:
-        """Fixed wide probe for decay-slope fits: transform exp(-heat_rate |xi|^2)."""
-        f = symbols.sample_symbol("gaussian", {"a": self.heat_rate}, self.half_width, self.n, dim=self.dim)
-        return self.element_from_symbol(f, {"family": "heat_probe"})
+        """Fixed wide probe for decay-slope fits: its transform is the heat symbol exp(-heat_rate |xi|^2)."""
+        return self.element_from_symbol(calculus.evaluate_multiplier(heat_symbol(self.heat_rate), self.fourier_grid()))
 
     # -- analysis
 
@@ -413,14 +410,14 @@ def _r8_admissible(backend, params):
 
 # R9/R10 ----------------------------------------------------------------------
 
-def _heat_mult(backend, params) -> MultiplierSymbol:
+def _heat_mult(params) -> MultiplierSymbol:
     return heat_symbol(params.get("t0", 1.0))
 
 
 def _r9(backend, params, els):
     (x,) = els
     p, q = params["p"], params["q"]
-    g = _heat_mult(backend, params)
+    g = _heat_mult(params)
     lhs = backend.norm(backend.apply(g, x), q)
     gx = calculus.evaluate_multiplier(g, backend.fourier_grid())
     rhs = symbols.hormander_constant(gx, p, q) * backend.norm(x, p)
@@ -435,7 +432,7 @@ def _pq_admissible(backend, params):
 
 def _heat_admissible(backend, params):
     _pq_admissible(backend, params)
-    _heat_mult(backend, params)  # refuses a negative heat time
+    _heat_mult(params)  # refuses a negative heat time
 
 
 def _heat_times(params) -> tuple[float, float, int]:
@@ -781,8 +778,7 @@ def estimate_norm_ratio(backend, g: MultiplierSymbol, p: float, q: float, n_tria
     This is a certified lower bound on the p->q multiplier norm, never the
     norm itself: random search has no optimality certificate here.
     """
-    if not (1 < p <= 2 <= q < math.inf):
-        raise ValueError(f"need 1 < p <= 2 <= q < inf, got p={p}, q={q}")
+    _pq_admissible(backend, {"p": p, "q": q})
     best = 0.0
     for i in range(n_trials):
         x = backend.sample_element(derive_seed(seed, "norm_ratio", i))
@@ -829,8 +825,7 @@ def sobolev_scale_sweep(
     """
     out = []
     for R in scales:
-        a = 1.0 / (2.0 * (base_width * R) ** 2)
-        f = symbols.sample_symbol("gaussian", {"a": a}, backend.half_width, backend.n, dim=backend.dim)
-        el = backend.element_from_symbol(f, {"family": "scale_probe", "R": R})
+        probe = symbols.GaussianMixture((((0.0,) * backend.dim, base_width * R, 1.0),))
+        el = backend.element_from_symbol(backend.fourier_grid().with_samples(probe.value(backend._meshes)))
         out.append(backend.norm(el, q) / sobolev_norm(backend, el, p, s))
     return out

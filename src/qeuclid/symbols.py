@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "SymbolGrid",
+    "GaussianMixture",
     "axis_nodes",
     "grid_meshes",
     "sample_symbol",
@@ -124,17 +125,25 @@ def _radius_sq(meshes: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def sample_symbol(
-    family: str,
-    params: Optional[dict],
-    half_width: float,
-    n: int,
-    dim: int = 2,
-) -> SymbolGrid:
-    """Sample one of the built-in closed-form families.
+@dataclass(frozen=True)
+class GaussianMixture:
+    """sum of amp exp(-|s - center|^2 / (2 width^2)) over ``components``, a tuple
+    of (center, width, amp) with one center coordinate per axis."""
 
-    Families:
-      * ``gaussian``: exp(-a |s - center|^2)
+    components: tuple
+
+    def value(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """The mixture at ``coords``, one array or number per axis: a grid's
+        meshes sample it on the grid, point coordinates evaluate it there."""
+        out = np.zeros(np.broadcast(*coords).shape, dtype=complex)
+        for center, w, amp in self.components:
+            out = out + amp * np.exp(-_radius_sq([m - c for m, c in zip(coords, center)]) / (2 * w * w))
+        return out
+
+
+def sample_symbol(family: str, params: Optional[dict], half_width: float, n: int, dim: int = 2) -> SymbolGrid:
+    """Sample a closed-form family; the one family, ``gaussian``, is exp(-a |s - center|^2),
+    the one-component :class:`GaussianMixture` of width (2a)^(-1/2).
 
     The heat and Bessel symbols are :mod:`qeuclid.calculus` multipliers;
     ``evaluate_multiplier`` samples them on a grid.
@@ -142,21 +151,14 @@ def sample_symbol(
     params = dict(params or {})
     if half_width <= 0 or n <= 0:
         raise ValueError("grid parameters must be positive")
-
     ref = SymbolGrid(dim, half_width, n, np.zeros((n,) * dim))
-    meshes = grid_meshes(ref)
-
-    if family == "gaussian":
-        a = float(params.get("a", 0.5))
-        center = params.get("center", (0.0,) * dim)
-        if not np.isfinite(a) or a <= 0:
-            raise ValueError("gaussian decay rate a must be positive and finite")
-        shifted = [m - c for m, c in zip(meshes, center)]
-        vals = np.exp(-a * _radius_sq(shifted))
-    else:
+    if family != "gaussian":
         raise ValueError(f"unknown symbol family {family!r}")
-
-    return ref.with_samples(vals)
+    a = float(params.get("a", 0.5))
+    if not np.isfinite(a) or a <= 0:
+        raise ValueError("gaussian decay rate a must be positive and finite")
+    mixture = GaussianMixture(((params.get("center", (0.0,) * dim), (2.0 * a) ** -0.5, 1.0),))
+    return ref.with_samples(mixture.value(grid_meshes(ref)))
 
 
 # ---------------------------------------------------------------------------

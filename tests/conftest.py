@@ -28,6 +28,13 @@ def cli_env(*paths, **overrides) -> dict:
     return env
 
 
+def spec_mixture(spec):
+    """The GaussianMixture whose components a drawn element's ``spec`` records."""
+    from qeuclid.symbols import GaussianMixture
+
+    return GaussianMixture(tuple((c["center"], c["width"], complex(*c["amp"])) for c in spec["components"]))
+
+
 @pytest.fixture(scope="session")
 def theta():
     from qeuclid.weyl import DeformationMatrix

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import cli_env
+from conftest import cli_env, spec_mixture
 
 from qeuclid import cli
 from qeuclid.calculus import evaluate_multiplier, heat_symbol
@@ -85,22 +85,13 @@ def test_criterion_1_weyl_relation_defect():
 # ---------------------------------------------------------------------------
 
 
-def _mixture_value_at_zero(spec):
-    total = 0.0j
-    for comp in spec["components"]:
-        amp = complex(comp["amp"][0], comp["amp"][1])
-        c1, c2 = comp["center"]
-        total += amp * np.exp(-(c1**2 + c2**2) / (2 * comp["width"] ** 2))
-    return total
-
-
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
 def test_criterion_2_trace_identity(h):
     backend = MoyalBackend(h=h, fock_dim=128, half_width=8.0, n=64)
     worst = 0.0
     for seed in range(20):
         el = backend.sample_element(seed)
-        f0 = _mixture_value_at_zero(el.spec)
+        f0 = complex(spec_mixture(el.spec).value((0.0, 0.0)))
         worst = max(worst, abs(trace_tau(el.payload) - f0) / abs(f0))
     ok = worst < 1e-5
     assert _report("2", ok, f"h={h}: max trace relative error {worst:.2e} over 20 mixtures (N=128, L=8, n=64)")
@@ -112,17 +103,9 @@ def test_criterion_2_kernel_oracle_cross_validation(h):
     worst = 0.0
     for seed in range(3):
         el = backend.sample_element(seed)
-        comps = el.spec["components"]
-
-        def f_slice(t1):
-            out = np.zeros_like(t1, dtype=complex)
-            for c in comps:
-                amp = complex(c["amp"][0], c["amp"][1])
-                out += amp * np.exp(-((t1 - c["center"][0]) ** 2 + c["center"][1] ** 2) / (2 * c["width"] ** 2))
-            return out
-
-        f0 = _mixture_value_at_zero(el.spec)
-        oracle = h / (2 * np.pi) * kernel_trace_oracle(f_slice, h)
+        mixture = spec_mixture(el.spec)
+        f0 = complex(mixture.value((0.0, 0.0)))
+        oracle = h / (2 * np.pi) * kernel_trace_oracle(lambda t1: mixture.value((t1, 0.0)), h)
         worst = max(worst, abs(oracle - f0) / abs(f0))
     ok = worst < 1e-3
     assert _report("2", ok, f"h={h}: position-kernel oracle validates h/(2 pi) to {worst:.2e}")

@@ -15,19 +15,16 @@ from qeuclid.calculus import (
 )
 from qeuclid.errors import BoundaryDecayError, DomainError
 from qeuclid.harness import REGISTRY, Backend, MoyalBackend, RandomElement, sobolev_norm
-from qeuclid.symbols import SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm
+from qeuclid.symbols import GaussianMixture, SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm
 from qeuclid.weyl import QuantizedOperator, dequantize, quantize, trace_tau
 
 L, NGRID, NFOCK = 8.0, 64, 64
 
 
 def symbol(comps, n=NGRID):
-    ax = axis_nodes(L, n)
-    T1, T2 = np.meshgrid(ax, ax, indexing="ij")
-    vals = np.zeros((n, n), dtype=complex)
-    for amp, c1, c2, w in comps:
-        vals += amp * np.exp(-((T1 - c1) ** 2 + (T2 - c2) ** 2) / (2 * w * w))
-    return SymbolGrid(2, L, n, vals)
+    grid = SymbolGrid(2, L, n, np.zeros((n, n)))
+    mixture = GaussianMixture(tuple(((c1, c2), w, amp) for amp, c1, c2, w in comps))
+    return grid.with_samples(mixture.value(grid_meshes(grid)))
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +119,8 @@ def test_gate_on_uncaptured_transform(request, backend_name, width):
     # near-delta symbol (the Fock truncation spreads its transform), on the
     # line a symbol as wide as the window (its transform is the symbol)
     b = request.getfixturevalue(backend_name)
-    ax = axis_nodes(b.half_width, b.n)
-    r2 = sum(m**2 for m in np.meshgrid(*[ax] * b.dim, indexing="ij"))
-    el = b.element_from_symbol(SymbolGrid(b.dim, b.half_width, b.n, np.exp(-r2 / (2 * width**2))))
+    probe = GaussianMixture((((0.0,) * b.dim, width, 1.0),))
+    el = b.element_from_symbol(b.fourier_grid().with_samples(probe.value(grid_meshes(b.fourier_grid()))))
     with pytest.raises(BoundaryDecayError, match="does not capture"):
         b.apply(constant_symbol(1.0), el)
 

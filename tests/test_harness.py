@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import spec_mixture
 
 from qeuclid.harness import (
     Backend,
@@ -22,6 +23,7 @@ from qeuclid.harness import (
 from qeuclid import calculus, spectra
 from qeuclid.calculus import constant_symbol, heat_symbol
 from qeuclid.errors import DomainError, GridMismatchError
+from qeuclid.symbols import grid_meshes
 from qeuclid.weyl import DeformationMatrix, QuantizedOperator
 
 
@@ -86,6 +88,16 @@ def test_sampling_boundary_gate_audit(request, backend_name):
         el = backend.sample_element(seed)
         assert el.symbol.boundary_decay() < 1e-10
         assert all(np.linalg.norm(c["center"]) <= backend.half_width / 4 for c in el.spec["components"])
+
+
+@BACKENDS
+def test_spec_rebuilds_drawn_samples(request, backend_name):
+    # the trace-identity criterion and the benchmark's trace oracle evaluate
+    # the mixture a draw's spec records, so it must give back the samples exactly
+    backend = request.getfixturevalue(backend_name)
+    for seed in range(6):
+        el = backend.sample_element(seed)
+        assert np.array_equal(spec_mixture(el.spec).value(grid_meshes(el.symbol)), el.symbol.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qeuclid.errors import DomainError
 from qeuclid.spectra import SingularValueProfile, entropy_term, schatten_norm, singular_profile
-from qeuclid.symbols import axis_nodes, SymbolGrid, lebesgue_norm, lorentz_step_norm
+from qeuclid.symbols import GaussianMixture, SymbolGrid, grid_meshes, lebesgue_norm, lorentz_step_norm
 from qeuclid.weyl import DeformationMatrix, QuantizedOperator, dequantize, quantize
 
 
@@ -17,12 +17,9 @@ def random_op(rng, theta, N=24):
 
 
 def quantized_gaussian(theta, n=64, N=96, comps=((1.0, 0.3, -0.4, 0.9),)):
-    ax = axis_nodes(8.0, n)
-    T1, T2 = np.meshgrid(ax, ax, indexing="ij")
-    vals = np.zeros((n, n), dtype=complex)
-    for amp, c1, c2, w in comps:
-        vals += amp * np.exp(-((T1 - c1) ** 2 + (T2 - c2) ** 2) / (2 * w * w))
-    return quantize(SymbolGrid(2, 8.0, n, vals), theta, N)
+    grid = SymbolGrid(2, 8.0, n, np.zeros((n, n)))
+    mixture = GaussianMixture(tuple(((c1, c2), w, amp) for amp, c1, c2, w in comps))
+    return quantize(grid.with_samples(mixture.value(grid_meshes(grid))), theta, N)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from qeuclid import weyl
 from qeuclid.errors import BoundaryDecayError
-from qeuclid.symbols import SymbolGrid, axis_nodes, lebesgue_norm, sample_symbol
+from qeuclid.symbols import GaussianMixture, SymbolGrid, axis_nodes, grid_meshes, lebesgue_norm, sample_symbol
 from qeuclid.weyl import (
     DeformationMatrix,
     QuantizedOperator,
@@ -21,13 +21,14 @@ from qeuclid.weyl import (
 )
 
 
+def mixture(comps):
+    """The GaussianMixture of (amp, c1, c2, w) components."""
+    return GaussianMixture(tuple(((c1, c2), w, amp) for amp, c1, c2, w in comps))
+
+
 def gaussian_mixture(L, n, comps):
-    ax = axis_nodes(L, n)
-    T1, T2 = np.meshgrid(ax, ax, indexing="ij")
-    vals = np.zeros((n, n), dtype=complex)
-    for amp, c1, c2, w in comps:
-        vals += amp * np.exp(-((T1 - c1) ** 2 + (T2 - c2) ** 2) / (2 * w * w))
-    return SymbolGrid(2, L, n, vals)
+    grid = SymbolGrid(2, L, n, np.zeros((n, n)))
+    return grid.with_samples(mixture(comps).value(grid_meshes(grid)))
 
 
 def closed_form_displacement(alpha, N):
@@ -222,12 +223,9 @@ def test_trace_weight_against_kernel_oracle():
             grid_n = 96 if h > 1 else 64
             f = gaussian_mixture(8.0, grid_n, comps)
             x = quantize(f, theta, 64)
-            f0 = sum(a * np.exp(-(c1**2 + c2**2) / (2 * w * w)) for a, c1, c2, w in comps)
-
-            def f_slice(t1):
-                return sum(a * np.exp(-((t1 - c1) ** 2 + c2**2) / (2 * w * w)) for a, c1, c2, w in comps)
-
-            oracle = h / (2 * np.pi) * kernel_trace_oracle(f_slice, h)
+            mix = mixture(comps)
+            f0 = complex(mix.value((0.0, 0.0)))
+            oracle = h / (2 * np.pi) * kernel_trace_oracle(lambda t1: mix.value((t1, 0.0)), h)
             assert abs(trace_tau(x) - f0) / abs(f0) < 1e-3
             assert abs(oracle - f0) / abs(f0) < 1e-3
 
