@@ -37,10 +37,10 @@ workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
   over its trial count.  A trial that draws an element pays for the draw;
   trials that read an element drawn earlier at their trial index do not;
 - ``maxrss_mb`` and ``children_maxrss_mb``, ``ru_maxrss`` of the process and
-  of its largest waited-for child: at 2 workers, the largest pool worker;
+  of its largest waited-for child: at 2 workers, the largest forked worker;
 - ``minflt``, the minor page faults (``ru_minflt``) the process took during
   the call, and ``children_minflt``, those of its waited-for children: the
-  pool workers, summed.
+  forked workers, summed.
 
 Every figure is the median over the processes, except the two maxrss
 figures, which are the largest.  BLAS runs on one thread.

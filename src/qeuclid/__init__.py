@@ -7,8 +7,8 @@ the norm inequalities that tie the two sides together.
 
 import os
 
-# Pin BLAS to one thread before any submodule loads numpy: the verify pool
-# forks after BLAS work, and reports must not depend on the thread layout.
+# Pin BLAS to one thread before any submodule loads numpy: verify forks its
+# workers after BLAS work, and reports must not depend on the thread layout.
 # Variables the caller has already set are left alone.
 for _var in (
     "OMP_NUM_THREADS",

@@ -3,7 +3,10 @@
 Byte-identical reports across runs and worker counts are part of the
 contract, so BLAS threading is pinned to one thread (at the top of
 ``qeuclid/__init__.py``, before numpy loads) and every trial is computed in a
-fixed, seed-derived way regardless of the pool layout.
+fixed, seed-derived way regardless of the worker layout.  With more than one
+worker, ``verify`` forks its workers directly: they pull trial indices from
+one pipe and send each index's rows back through a pipe of their own, and
+the rows are placed by index.
 """
 
 import argparse
@@ -12,11 +15,12 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
 
@@ -64,7 +68,7 @@ class RunConfig:
         return cfg
 
     def config_hash(self) -> str:
-        """Hash of the computation-defining fields (not output path or pool size)."""
+        """Hash of the computation-defining fields (not output path or worker count)."""
         payload = json.loads(self.to_json())
         payload.pop("out_dir", None)
         payload.pop("workers", None)
@@ -132,16 +136,122 @@ def default_config(backend: str = "moyal") -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
+# Forked workers
 # ---------------------------------------------------------------------------
 
-# The run's backend, set by cmd_verify before the pool forks: the workers
-# inherit it with its tables instead of importing and building their own.
-_worker_state: dict = {}
+# POSIX's least PIPE_BUF: a write of at most this many bytes reaches the job
+# pipe whole, so the workers' 4-byte reads never split an index.
+_JOB_WRITE = 512
 
 
-def _worker_task(rows) -> list[harness.TheoremCase]:
-    return harness.run_index(_worker_state["backend"], rows)
+def _send(out, payload) -> None:
+    """One length-prefixed pickle, flushed so that the parent reads it now."""
+    frame = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    out.write(len(frame).to_bytes(4, "little") + frame)
+    out.flush()
+
+
+def _worker(backend, tasks, jobs: int, out: int) -> int:
+    """A forked worker: run each trial index read from ``jobs`` until EOF and
+    send (index, rows) to ``out``, or (None, message) for a trial that raises."""
+    with open(out, "wb") as sink:
+        try:
+            while index := os.read(jobs, 4):
+                i = int.from_bytes(index, "little")
+                _send(sink, (i, harness.run_index(backend, tasks[i])))
+        except Exception as exc:
+            _send(sink, (None, str(exc) if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: {exc}"))
+            return 1
+    return 0
+
+
+def _run_forked(backend, tasks: list, n_workers: int) -> list:
+    """``harness.run_index(backend, rows)`` for each of ``tasks``, in order, on
+    ``n_workers`` forked workers, which inherit ``backend`` with its tables.
+
+    The indices go into the job pipe after the fork, a chunk at a time while
+    the pipe has room, and the workers' pipes are drained meanwhile, so no
+    side blocks another at any task count.  A worker that raises or dies
+    raises RuntimeError here.  However the run ends, every worker still
+    running is killed, every worker is reaped and every pipe end is closed.
+    """
+    results: list = [None] * len(tasks)
+    jobs_r, jobs_w = os.pipe()
+    held = {jobs_r, jobs_w}  # the pipe ends this process holds
+    pids: dict[int, int] = {}  # a worker's result pipe (read end) -> its pid
+
+    def close(fd: int) -> None:
+        held.remove(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(n_workers):
+            rfd, wfd = os.pipe()
+            held |= {rfd, wfd}
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in held - {jobs_r, wfd}:
+                        os.close(fd)
+                    code = _worker(backend, tasks, jobs_r, wfd)
+                finally:
+                    os._exit(code)
+            close(wfd)
+            pids[rfd] = pid
+        close(jobs_r)
+
+        todo = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
+        sent = 0
+        buffers = {fd: bytearray() for fd in pids}
+        os.set_blocking(jobs_w, False)
+        poller = select.poll()
+        poller.register(jobs_w, select.POLLOUT)
+        for fd in pids:
+            poller.register(fd, select.POLLIN)
+        while pids:
+            for fd, _ in poller.poll():
+                if fd == jobs_w:
+                    try:
+                        sent += os.write(jobs_w, todo[sent:sent + _JOB_WRITE])
+                    except BlockingIOError:
+                        continue
+                    except BrokenPipeError:
+                        sent = len(todo)  # no worker is left: their pipes say why
+                    if sent == len(todo):
+                        poller.unregister(jobs_w)
+                        close(jobs_w)
+                    continue
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    buf = buffers[fd]
+                    buf += chunk
+                    while len(buf) >= 4:
+                        end = 4 + int.from_bytes(buf[:4], "little")
+                        if len(buf) < end:
+                            break
+                        index, rows = pickle.loads(buf[4:end])
+                        del buf[:end]
+                        if index is None:
+                            raise RuntimeError(rows)
+                        results[index] = rows
+                    continue
+                # EOF: the worker has closed its pipe and is exiting
+                poller.unregister(fd)
+                close(fd)
+                pid = pids.pop(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code > 0:
+                    raise RuntimeError(f"worker {pid} exited with status {code}")
+                if code < 0:
+                    raise RuntimeError(f"worker {pid} was killed by signal {-code}")
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in list(held):
+            close(fd)
+    return results
 
 
 def _resolve_workers(cfg: RunConfig) -> int:
@@ -166,7 +276,6 @@ def _fmt(x) -> str:
 
 
 def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
     with open(out_dir / "cases.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -195,12 +304,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         backend.build_tables()
-        _worker_state["backend"] = backend
         if n_workers <= 1:
-            results = [_worker_task(rows) for rows in tasks]
+            results = [harness.run_index(backend, rows) for rows in tasks]
         else:
             # fork (POSIX), after build_tables has run BLAS in this process.
             # That needs BLAS on one thread, which the pin at the top of
@@ -209,23 +323,24 @@ def cmd_verify(cfg: RunConfig) -> int:
             # gets BLAS's own threads.  A pthreads OpenBLAS (numpy's wheels) is
             # still fork-safe; a BLAS on GNU OpenMP can hang the workers, and
             # its callers should run with QEUCLID_WORKERS=1.
-            with ProcessPoolExecutor(n_workers, mp_context=get_context("fork")) as pool:
-                results = list(pool.map(_worker_task, tasks))
-    except RuntimeError as exc:
-        # a dead pool worker (BrokenProcessPool), a failed trace-weight
-        # validation or an element draw that never passed its gate
+            results = _run_forked(backend, tasks, n_workers)
+    except (RuntimeError, OSError) as exc:
+        # a worker that died or raised, a fork or pipe that failed, a failed
+        # trace-weight validation or an element draw that never passed its gate
         print(f"verify error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        _worker_state.clear()
 
-    # map keeps the index order, so each suite gets its trials in order
+    # results are in index order, so each suite gets its trials in order
     all_cases = {s.theorem: [] for s in cfg.suites}
     for rows in results:
         for case in rows:
             all_cases[case.theorem].append(case)
     summaries = {tid: harness.summarize_cases(tid, suite) for tid, suite in all_cases.items()}
-    _write_reports(Path(cfg.out_dir), cfg, all_cases, summaries)
+    try:
+        _write_reports(out_dir, cfg, all_cases, summaries)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
     total_failures = sum(s.failures for s in summaries.values())
     for tid in sorted(summaries, key=lambda t: int(t[1:])):

@@ -125,8 +125,10 @@ class Backend:
         by redrawing the whole mixture, deterministically in the seed, so the
         accepted law is the proposal truncated by the gate: on the Moyal
         window (L = 8) the gate accepts no width above ~1.16 for a centred
-        component (~0.87 at |c| = 2), and most draws take several attempts.
-        The classical window (L = 64) rejects none.  ``spec`` holds the
+        component (~0.87 at |c| = 2), and most draws take several attempts;
+        an attempt is evaluated on the grid's outer cell shell first, and on
+        the whole grid only if the shell cannot already fail the gate.  The
+        classical window (L = 64) rejects none.  ``spec`` holds the
         accepted components, which rebuild the samples as a GaussianMixture.
         """
         rng = np.random.default_rng(seed)
@@ -142,7 +144,12 @@ class Backend:
                 w = rng.uniform(self.width_floor, 2.0)
                 amp = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
                 comps.append((c.tolist(), w, amp))
-            f = SymbolGrid(d, L, self.n, symbols.GaussianMixture(tuple(comps)).value(self._meshes))
+            mixture = symbols.GaussianMixture(tuple(comps))
+            # |f| <= sum |amp| everywhere, so a shell this high fails the full gate too
+            shell = np.abs(mixture.value(self._shell_meshes)).max()
+            if shell >= BOUNDARY_GATE * (1 + 1e-9) * sum(abs(a) for *_, a in comps):
+                continue
+            f = SymbolGrid(d, L, self.n, mixture.value(self._meshes))
             if f.boundary_decay() < BOUNDARY_GATE:
                 components = [{"center": c, "width": w, "amp": [amp.real, amp.imag]} for c, w, amp in comps]
                 spec = {"family": "gaussian_mixture", "seed": seed, "attempt": attempt, "components": components}
@@ -175,7 +182,7 @@ class Backend:
 
     def build_tables(self) -> None:
         """Build the cached tables the trials read (none here); verify calls it
-        before its pool forks, so the workers inherit them."""
+        before it forks its workers, so they inherit them."""
 
     def fourier_grid(self) -> SymbolGrid:
         return SymbolGrid(self.dim, self.half_width, self.n, np.zeros((self.n,) * self.dim))
@@ -183,6 +190,13 @@ class Backend:
     @functools.cached_property
     def _meshes(self) -> tuple[np.ndarray, ...]:
         return symbols.grid_meshes(self.fourier_grid())
+
+    @functools.cached_property
+    def _shell_meshes(self) -> tuple[np.ndarray, ...]:
+        """The meshes on the grid's outermost cell shell, the cells ``boundary_decay`` reads."""
+        shell = np.ones((self.n,) * self.dim, dtype=bool)
+        shell[(slice(1, -1),) * self.dim] = False
+        return tuple(m[shell] for m in self._meshes)
 
     @functools.cached_property
     def paley_weight(self) -> tuple[SymbolGrid, float]:

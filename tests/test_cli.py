@@ -3,10 +3,14 @@ import csv
 import importlib
 import json
 import os
+import pickle
 import pkgutil
+import re
 import signal
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,28 +234,134 @@ def test_verify_draws_each_trial_index_once(tmp_path, monkeypatch):
 
 
 def test_verify_forks_no_more_workers_than_tasks(tmp_path, monkeypatch):
-    # the fork pool starts all its workers up front, so a 3-index run asks for 3
+    # verify forks all its workers up front, so a 3-index run asks for 3
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
     sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, mp_context=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setenv("QEUCLID_WORKERS", "8")
-    assert cmd_verify(small_config(tmp_path / "out", trials=3)) == 0
-    monkeypatch.setenv("QEUCLID_WORKERS", "2")
-    assert cmd_verify(small_config(tmp_path / "out", trials=3)) == 0
+    for workers in ("8", "2"):
+        monkeypatch.setenv("QEUCLID_WORKERS", workers)
+        assert cmd_verify(small_config(tmp_path / "out", trials=3)) == 0
+        sizes.append(len(forks))
+        forks.clear()
     assert sizes == [3, 2]
+
+
+def children() -> set:
+    """pids whose parent is this process, zombies included."""
+    me, kids = str(os.getpid()), set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue  # exited since the listing
+            if stat.rsplit(")", 1)[1].split()[1] == me:
+                kids.add(int(entry))
+    return kids
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_runner_runs_each_index_once_in_order(tmp_path, monkeypatch, workers):
+    # 20,000 indices are 80,000 bytes, more than a 64 KiB job pipe holds
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def run_index(backend, rows):
+        os.write(log, b"%d\n" % rows[0])
+        return [rows[0] * 3]
+
+    monkeypatch.setattr(harness, "run_index", run_index)
+    try:
+        results = cli._run_forked(None, [[i] for i in range(20_000)], workers)
+    finally:
+        os.close(log)
+    assert results == [[3 * i] for i in range(20_000)]
+    ran = [int(line) for line in (tmp_path / "ran").read_text().split()]
+    assert sorted(ran) == list(range(20_000))
+
+
+def fail_draw(backend, seed):
+    raise RuntimeError("could not draw an element passing the boundary gate")
+
+
+def die_in_draw(backend, seed):
+    os._exit(3)
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "draw, code, err",
+    [
+        (None, 0, ""),
+        (fail_draw, 1, r"verify error: could not draw an element passing the boundary gate\n"),
+        (die_in_draw, 1, r"verify error: worker \d+ exited with status 3\n"),
+    ],
+    ids=["clean", "worker-raises", "worker-dies"],
+)
+def test_verify_leaves_no_worker_and_no_pipe_open(tmp_path, monkeypatch, capsys, draw, code, err):
+    if draw is not None:
+        monkeypatch.setattr(harness.Backend, "sample_element", draw)
+    monkeypatch.setenv("QEUCLID_WORKERS", "2")
+    fds, kids = sorted(os.listdir("/proc/self/fd")), children()
+    assert cmd_verify(small_config(tmp_path / "out", trials=6)) == code
+    assert re.fullmatch(err, capsys.readouterr().err)
+    assert children() == kids
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_proc
+def test_forked_runner_kills_its_workers_when_the_parent_fails(monkeypatch):
+    # the first result raises in the parent while both workers sleep on later indices
+    class Unreadable(Exception):
+        pass
+
+    def run_index(backend, rows):
+        if rows[0]:
+            time.sleep(60)
+        return rows
+
+    def loads(data):
+        raise Unreadable
+
+    monkeypatch.setattr(harness, "run_index", run_index)
+    monkeypatch.setattr(cli, "pickle", SimpleNamespace(dumps=pickle.dumps, loads=loads, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+    fds, kids = sorted(os.listdir("/proc/self/fd")), children()
+    start = time.monotonic()
+    with pytest.raises(Unreadable):
+        cli._run_forked(None, [[0], [1], [2]], 2)
+    assert time.monotonic() - start < 30
+    assert children() == kids
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_verify_fails_early_on_an_unwritable_out(tmp_path, monkeypatch, capsys):
+    # a directory under a regular file: refused before any table or trial
+    (tmp_path / "file").write_text("")
+    built = []
+    monkeypatch.setattr(harness.Backend, "build_tables", lambda backend: built.append(backend))
+    assert cmd_verify(small_config(tmp_path / "file" / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(tmp_path / "file" / "out") in err
+    assert built == []
+
+
+def test_verify_report_write_failure_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "cases.csv").mkdir(parents=True)
+    assert cmd_verify(small_config(out, trials=2, suites=("R15",))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(out / "cases.csv") in err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
@@ -420,13 +530,14 @@ def test_verify_trace_weight_failure_exits_one(tmp_path, monkeypatch, capsys):
 
 
 SITECUSTOMIZE = """
-import multiprocessing, os
+import os
 import qeuclid.harness as harness
 
+_MAIN = os.getpid()
 _run_case = harness.run_case
 
 def run_case(*args, **kwargs):
-    if multiprocessing.parent_process() is not None:
+    if os.getpid() != _MAIN:
         os._exit(3)
     return _run_case(*args, **kwargs)
 
@@ -435,7 +546,7 @@ harness.run_case = run_case
 
 
 def test_verify_exits_one_when_a_worker_dies(tmp_path):
-    # every pool worker exits on its first trial; verify must end, not hang
+    # every forked worker exits on its first trial; verify must end, not hang
     (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(small_config(tmp_path / "out", trials=6).to_json())
@@ -452,6 +563,7 @@ def test_verify_exits_one_when_a_worker_dies(tmp_path):
             proc.wait()
     assert proc.returncode == 1, err
     assert "verify error" in err and "Traceback" not in err
+    assert "exited with status 3" in err and err.count("\n") == 1
 
 
 def test_verify_takes_two_norms_without_an_svd(tmp_path, monkeypatch):

@@ -23,8 +23,8 @@ from qeuclid.harness import (
 from qeuclid import calculus, spectra
 from qeuclid.calculus import constant_symbol, heat_symbol
 from qeuclid.errors import DomainError, GridMismatchError
-from qeuclid.symbols import grid_meshes
-from qeuclid.weyl import DeformationMatrix, QuantizedOperator
+from qeuclid.symbols import GaussianMixture, SymbolGrid, grid_meshes
+from qeuclid.weyl import BOUNDARY_GATE, DeformationMatrix, QuantizedOperator
 
 
 def scaled_element(backend, el, lam):
@@ -98,6 +98,38 @@ def test_spec_rebuilds_drawn_samples(request, backend_name):
     for seed in range(6):
         el = backend.sample_element(seed)
         assert np.array_equal(spec_mixture(el.spec).value(grid_meshes(el.symbol)), el.symbol.samples)
+
+
+def full_grid_draw(backend, seed):
+    """sample_element's rejection loop gating every attempt on the whole grid:
+    the reference its outer-shell pre-check must reproduce."""
+    rng = np.random.default_rng(seed)
+    L, d = backend.half_width, backend.dim
+    for attempt in range(500):
+        comps = []
+        for _ in range(int(rng.integers(1, 4))):
+            while True:
+                c = rng.uniform(-L / 4, L / 4, size=d)
+                if np.hypot.reduce(c, initial=0.0) <= L / 4:
+                    break
+            w = rng.uniform(backend.width_floor, 2.0)
+            amp = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+            comps.append((c.tolist(), w, amp))
+        f = SymbolGrid(d, L, backend.n, GaussianMixture(tuple(comps)).value(grid_meshes(backend.fourier_grid())))
+        if f.boundary_decay() < BOUNDARY_GATE:
+            components = [{"center": c, "width": w, "amp": [amp.real, amp.imag]} for c, w, amp in comps]
+            return {"family": "gaussian_mixture", "seed": seed, "attempt": attempt, "components": components}, f
+    raise AssertionError(f"seed {seed} drew nothing")
+
+
+@BACKENDS
+def test_shell_precheck_keeps_every_draw(request, backend_name):
+    backend = request.getfixturevalue(backend_name)
+    for seed in range(200):
+        el = backend.sample_element(seed)
+        spec, f = full_grid_draw(backend, seed)
+        assert el.spec == spec
+        assert np.array_equal(el.symbol.samples, f.samples)
 
 
 # ---------------------------------------------------------------------------
