@@ -25,7 +25,9 @@ times with ``time.perf_counter``:
 
 It then reads ``ru_maxrss`` from ``resource.getrusage``.  Every figure is
 the median over the processes of each process's median, except
-``maxrss_mb``, which is the largest.
+``maxrss_mb``, which is the largest.  Beside each such median, ``KEY_min``
+and ``KEY_max`` give the least and the largest of the processes' figures,
+so that a move inside that range reads as the host's spread, not the code's.
 
 For each default config in ``VERIFY_RUNS`` (moyal and classical, at 1 and 2
 workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
@@ -42,8 +44,9 @@ workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
   the call, and ``children_minflt``, those of its waited-for children: the
   forked workers, summed.
 
-Every figure is the median over the processes, except the two maxrss
-figures, which are the largest.  BLAS runs on one thread.
+Every figure is the median over the processes, with its ``KEY_min`` and
+``KEY_max`` beside it, except the per-suite figures, which are medians only,
+and the two maxrss figures, which are the largest.  BLAS runs on one thread.
 
 The trees' processes are interleaved: each repeat of a window or a verify run
 starts one process per tree, in the order the trees are given on even
@@ -204,7 +207,8 @@ def interleaved(trees: dict, *child_args: str) -> dict:
 
 
 def _median_runs(runs: list[dict]) -> dict:
-    """Median of each figure over the runs (per key for nested dicts); the largest maxrss."""
+    """Median of each figure over the runs (per key for nested dicts), each
+    scalar median with its runs' min and max beside it; the largest maxrss."""
     out = {}
     for k, v in runs[0].items():
         if isinstance(v, dict):
@@ -212,7 +216,9 @@ def _median_runs(runs: list[dict]) -> dict:
         elif k.endswith("maxrss_mb"):
             out[k] = round(max(r[k] for r in runs), 4)
         else:
-            out[k] = round(statistics.median(r[k] for r in runs), 4)
+            values = [r[k] for r in runs]
+            out[k] = round(statistics.median(values), 4)
+            out[f"{k}_min"], out[f"{k}_max"] = round(min(values), 4), round(max(values), 4)
     return out
 
 

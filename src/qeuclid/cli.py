@@ -4,9 +4,9 @@ Byte-identical reports across runs and worker counts are part of the
 contract, so BLAS threading is pinned to one thread (at the top of
 ``qeuclid/__init__.py``, before numpy loads) and every trial is computed in a
 fixed, seed-derived way regardless of the worker layout.  With more than one
-worker, ``verify`` forks its workers directly: they pull trial indices from
-one pipe and send each index's rows back through a pipe of their own, and
-the rows are placed by index.
+worker, ``verify`` forks its workers directly: they hand the next trial index
+to each other through a one-token pipe, each sends its rows back once, through
+a pipe of its own, when the indices run out, and the rows are placed by index.
 """
 
 import argparse
@@ -139,43 +139,37 @@ def default_config(backend: str = "moyal") -> RunConfig:
 # Forked workers
 # ---------------------------------------------------------------------------
 
-# POSIX's least PIPE_BUF: a write of at most this many bytes reaches the job
-# pipe whole, so the workers' 4-byte reads never split an index.
-_JOB_WRITE = 512
 
-
-def _send(out, payload) -> None:
-    """One length-prefixed pickle, flushed so that the parent reads it now."""
-    frame = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    out.write(len(frame).to_bytes(4, "little") + frame)
-    out.flush()
-
-
-def _worker(backend, tasks, jobs: int, out: int) -> int:
-    """A forked worker: run each trial index read from ``jobs`` until EOF and
-    send (index, rows) to ``out``, or (None, message) for a trial that raises."""
+def _worker(backend, tasks, jobs_r: int, jobs_w: int, out: int) -> int:
+    """A forked worker: take an index from the one-token job pipe, put the next
+    one back and run that trial, until the indices run out; then write its
+    (index, rows) pairs, or a raising trial's message, to ``out`` as one pickle."""
+    pairs = []
+    try:
+        while (i := int.from_bytes(os.read(jobs_r, 4), "little")) < len(tasks):
+            os.write(jobs_w, (i + 1).to_bytes(4, "little"))
+            pairs.append((i, harness.run_index(backend, tasks[i])))
+        os.write(jobs_w, i.to_bytes(4, "little"))  # the end, for the next worker
+        payload = pairs
+    except Exception as exc:
+        payload = str(exc) if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: {exc}"
     with open(out, "wb") as sink:
-        try:
-            while index := os.read(jobs, 4):
-                i = int.from_bytes(index, "little")
-                _send(sink, (i, harness.run_index(backend, tasks[i])))
-        except Exception as exc:
-            _send(sink, (None, str(exc) if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: {exc}"))
-            return 1
-    return 0
+        pickle.dump(payload, sink, protocol=pickle.HIGHEST_PROTOCOL)
+    return 0 if payload is pairs else 1
 
 
 def _run_forked(backend, tasks: list, n_workers: int) -> list:
     """``harness.run_index(backend, rows)`` for each of ``tasks``, in order, on
     ``n_workers`` forked workers, which inherit ``backend`` with its tables.
 
-    The indices go into the job pipe after the fork, a chunk at a time while
-    the pipe has room, and the workers' pipes are drained meanwhile, so no
-    side blocks another at any task count.  A worker that raises or dies
-    raises RuntimeError here.  However the run ends, every worker still
-    running is killed, every worker is reaped and every pipe end is closed.
+    The job pipe holds one 4-byte token, the next index to run: the parent
+    writes 0 before forking and each worker puts back the one after the
+    token it takes, so no write to the pipe can block.  Each worker sends its
+    rows once, when it stops.  A worker that raises or dies raises
+    RuntimeError here.  However the run ends, every worker still running is
+    killed, every worker is reaped and every pipe end is closed.
     """
-    results: list = [None] * len(tasks)
+    results: dict = {}  # index -> rows
     jobs_r, jobs_w = os.pipe()
     held = {jobs_r, jobs_w}  # the pipe ends this process holds
     pids: dict[int, int] = {}  # a worker's result pipe (read end) -> its pid
@@ -185,73 +179,56 @@ def _run_forked(backend, tasks: list, n_workers: int) -> list:
         os.close(fd)
 
     try:
+        os.write(jobs_w, (0).to_bytes(4, "little"))
         for _ in range(n_workers):
             rfd, wfd = os.pipe()
             held |= {rfd, wfd}
             pid = os.fork()
             if pid == 0:
-                code = 1
-                try:
-                    for fd in held - {jobs_r, wfd}:
+                try:  # os._exit never returns, so the finally runs only if the worker raises
+                    for fd in held - {jobs_r, jobs_w, wfd}:
                         os.close(fd)
-                    code = _worker(backend, tasks, jobs_r, wfd)
+                    os._exit(_worker(backend, tasks, jobs_r, jobs_w, wfd))
                 finally:
-                    os._exit(code)
+                    os._exit(1)
             close(wfd)
             pids[rfd] = pid
         close(jobs_r)
+        close(jobs_w)
 
-        todo = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
-        sent = 0
-        buffers = {fd: bytearray() for fd in pids}
-        os.set_blocking(jobs_w, False)
+        received = {fd: bytearray() for fd in pids}
         poller = select.poll()
-        poller.register(jobs_w, select.POLLOUT)
         for fd in pids:
             poller.register(fd, select.POLLIN)
         while pids:
             for fd, _ in poller.poll():
-                if fd == jobs_w:
-                    try:
-                        sent += os.write(jobs_w, todo[sent:sent + _JOB_WRITE])
-                    except BlockingIOError:
-                        continue
-                    except BrokenPipeError:
-                        sent = len(todo)  # no worker is left: their pipes say why
-                    if sent == len(todo):
-                        poller.unregister(jobs_w)
-                        close(jobs_w)
-                    continue
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    buf = buffers[fd]
-                    buf += chunk
-                    while len(buf) >= 4:
-                        end = 4 + int.from_bytes(buf[:4], "little")
-                        if len(buf) < end:
-                            break
-                        index, rows = pickle.loads(buf[4:end])
-                        del buf[:end]
-                        if index is None:
-                            raise RuntimeError(rows)
-                        results[index] = rows
+                if chunk := os.read(fd, 1 << 16):
+                    received[fd] += chunk
                     continue
                 # EOF: the worker has closed its pipe and is exiting
                 poller.unregister(fd)
                 close(fd)
                 pid = pids.pop(fd)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code > 0:
-                    raise RuntimeError(f"worker {pid} exited with status {code}")
-                if code < 0:
+                try:
+                    payload = pickle.loads(received.pop(fd))
+                except (pickle.UnpicklingError, EOFError):  # empty or cut short: the worker died first
+                    payload = None
+                if code == 0 and isinstance(payload, list):
+                    results.update(payload)
+                elif code == 1 and isinstance(payload, str):
+                    raise RuntimeError(payload)
+                elif code < 0:
                     raise RuntimeError(f"worker {pid} was killed by signal {-code}")
+                else:
+                    raise RuntimeError(f"worker {pid} exited with status {code}")
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for fd in list(held):
             close(fd)
-    return results
+    return [results[i] for i in range(len(tasks))]
 
 
 def _resolve_workers(cfg: RunConfig) -> int:

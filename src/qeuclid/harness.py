@@ -194,8 +194,7 @@ class Backend:
     @functools.cached_property
     def _shell_meshes(self) -> tuple[np.ndarray, ...]:
         """The meshes on the grid's outermost cell shell, the cells ``boundary_decay`` reads."""
-        shell = np.ones((self.n,) * self.dim, dtype=bool)
-        shell[(slice(1, -1),) * self.dim] = False
+        shell = symbols._shell_mask(self.n, self.dim)
         return tuple(m[shell] for m in self._meshes)
 
     @functools.cached_property
@@ -318,7 +317,6 @@ _MODE_TOL = {"equality": 1e-4, "one": 1e-3, "empirical": math.inf, "slope": 0.2}
 
 @dataclass(frozen=True)
 class TheoremEntry:
-    tid: str
     title: str
     mode: str  # a key of _MODE_TOL
     n_elements: int
@@ -504,7 +502,7 @@ def _r14_admissible(backend, params):
     p, q, s = params["p"], params["q"], params["s"]
     if p == q:
         raise ValueError("need p != q")
-    if s < backend.dim * (1.0 / p - 1.0 / q):
+    if s < _thr(backend, p, q):
         raise ValueError(f"s={s} below the embedding threshold")
 
 
@@ -613,50 +611,46 @@ def _thr(backend, p, q):
 
 
 REGISTRY: dict[str, TheoremEntry] = {
-    "R1": TheoremEntry("R1", "transform pairing identity", "equality", 2, lambda b: [{}], _r1),
-    "R2": TheoremEntry("R2", "transform p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2, _p_range(1, 2)),
-    "R3": TheoremEntry("R3", "quantization p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3, _p_range(1, 2)),
-    "R4": TheoremEntry("R4", "reverse transform bound", "one", 1, _p_grid(2.0, 3.0, 4.0), _r4, _p_range(2, math.inf)),
-    "R5": TheoremEntry(
-        "R5", "weighted transform bound", "empirical", 1, _p_grid(4.0 / 3.0, 1.5, 2.0), _r5, _p_range(1, 2)
-    ),
+    "R1": TheoremEntry("transform pairing identity", "equality", 2, lambda b: [{}], _r1),
+    "R2": TheoremEntry("transform p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2, _p_range(1, 2)),
+    "R3": TheoremEntry("quantization p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3, _p_range(1, 2)),
+    "R4": TheoremEntry("reverse transform bound", "one", 1, _p_grid(2.0, 3.0, 4.0), _r4, _p_range(2, math.inf)),
+    "R5": TheoremEntry("weighted transform bound", "empirical", 1, _p_grid(4.0 / 3.0, 1.5, 2.0), _r5, _p_range(1, 2)),
     "R6": TheoremEntry(
-        "R6", "polynomial-weight transform bound", "empirical", 1,
+        "polynomial-weight transform bound", "empirical", 1,
         lambda b: [{"p": p, "beta": bta} for p in (4.0 / 3.0, 2.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r6,
         _weighted_p_range(1, 2),
     ),
     "R7": TheoremEntry(
-        "R7", "inverse polynomial-weight bound", "empirical", 1,
+        "inverse polynomial-weight bound", "empirical", 1,
         lambda b: [{"p": p, "beta": bta} for p in (2.0, 3.0) for bta in (1.1 * b.dim / 2.0, 2.0 * b.dim)],
         _r7,
         _weighted_p_range(2, math.inf),
     ),
     "R8": TheoremEntry(
-        "R8", "interpolated weighted bound", "empirical", 1,
+        "interpolated weighted bound", "empirical", 1,
         lambda b: [{"p": p, "r": r} for p in (4.0 / 3.0, 1.5) for r in (p, 2.0, conjugate_exponent(p))],
         _r8,
         _r8_admissible,
     ),
     "R9": TheoremEntry(
-        "R9", "multiplier norm bound", "empirical", 1,
+        "multiplier norm bound", "empirical", 1,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "t0": 1.0}, {"p": 2.0, "q": 4.0, "t0": 1.0}],
         _r9,
         _heat_admissible,
     ),
     # slope / (-gamma) <= 1.2: the probe decays no faster than t^(-1.2 gamma)
     "R10": TheoremEntry(
-        "R10", "heat decay slope", "slope", 0,
+        "heat decay slope", "slope", 0,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "tmin": 0.5, "tmax": 20.0, "npts": 10}],
         _r10,
         _r10_admissible,
     ),
-    "R11": TheoremEntry(
-        "R11", "Lorentz quantization bound", "empirical", 1, _p_grid(4.0 / 3.0, 2.0), _r11, _p_range(1, 2)
-    ),
-    "R12": TheoremEntry("R12", "Lorentz transform bound", "one", 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)),
+    "R11": TheoremEntry("Lorentz quantization bound", "empirical", 1, _p_grid(4.0 / 3.0, 2.0), _r11, _p_range(1, 2)),
+    "R12": TheoremEntry("Lorentz transform bound", "one", 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)),
     "R14": TheoremEntry(
-        "R14", "fractional embedding", "empirical", 1,
+        "fractional embedding", "empirical", 1,
         lambda b: [
             {"p": 4.0 / 3.0, "q": 4.0, "s": _thr(b, 4.0 / 3.0, 4.0)},
             {"p": 4.0 / 3.0, "q": 4.0, "s": 1.5 * _thr(b, 4.0 / 3.0, 4.0)},
@@ -666,24 +660,24 @@ REGISTRY: dict[str, TheoremEntry] = {
         _r14_admissible,
     ),
     "R15": TheoremEntry(
-        "R15", "norm interpolation", "one", 1,
+        "norm interpolation", "one", 1,
         lambda b: [{"p": 1.0, "r": 4.0 / 3.0, "q": 2.0}, {"p": 4.0 / 3.0, "r": 2.0, "q": 4.0}, {"p": 2.0, "r": 3.0, "q": 6.0}],
         _r15,
         _r15_admissible,
     ),
     "R16": TheoremEntry(
-        "R16", "entropy bound", "one", 1,
+        "entropy bound", "one", 1,
         lambda b: [{"p": 1.0, "q": 2.0}, {"p": 4.0 / 3.0, "q": 3.0}, {"p": 2.0, "q": 4.0}],
         _r16,
         _r16_admissible,
     ),
     "R17": TheoremEntry(
-        "R17", "entropy-smoothness bound", "empirical", 1,
+        "entropy-smoothness bound", "empirical", 1,
         lambda b: [{"p": 1.5, "s": s} for s in (b.dim / 6.0, 0.75 * b.dim / 1.5, 0.97 * b.dim / 1.5)],
         _r17,
         _r17_admissible,
     ),
-    "R18": TheoremEntry("R18", "gradient-trade bound", "empirical", 1, lambda b: [{}], _r18),
+    "R18": TheoremEntry("gradient-trade bound", "empirical", 1, lambda b: [{}], _r18),
 }
 
 

@@ -95,11 +95,7 @@ class SymbolGrid:
         peak = a.max()
         if peak == 0.0:
             return 0.0
-        if self.dim == 1:
-            edge = max(a[0], a[-1])
-        else:
-            edge = max(a[0, :].max(), a[-1, :].max(), a[:, 0].max(), a[:, -1].max())
-        return float(edge / peak)
+        return float(a[_shell_mask(self.points_per_axis, self.dim)].max() / peak)
 
     def same_grid(self, other: "SymbolGrid") -> bool:
         return (
@@ -107,6 +103,15 @@ class SymbolGrid:
             and self.points_per_axis == other.points_per_axis
             and np.isclose(self.half_width, other.half_width, rtol=1e-12, atol=0.0)
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _shell_mask(n: int, dim: int) -> np.ndarray:
+    """The outermost cell shell of an n^dim grid: every cell, for n <= 2."""
+    mask = np.ones((n,) * dim, dtype=bool)
+    mask[(slice(1, -1),) * dim] = False
+    mask.flags.writeable = False
+    return mask
 
 
 def grid_meshes(grid: SymbolGrid) -> tuple[np.ndarray, ...]:

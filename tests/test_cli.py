@@ -10,7 +10,7 @@ import signal
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +297,10 @@ def die_in_draw(backend, seed):
     os._exit(3)
 
 
+def kill_in_draw(backend, seed):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @needs_proc
 @pytest.mark.parametrize(
     "draw, code, err",
@@ -304,8 +308,9 @@ def die_in_draw(backend, seed):
         (None, 0, ""),
         (fail_draw, 1, r"verify error: could not draw an element passing the boundary gate\n"),
         (die_in_draw, 1, r"verify error: worker \d+ exited with status 3\n"),
+        (kill_in_draw, 1, r"verify error: worker \d+ was killed by signal 9\n"),
     ],
-    ids=["clean", "worker-raises", "worker-dies"],
+    ids=["clean", "worker-raises", "worker-dies", "worker-killed"],
 )
 def test_verify_leaves_no_worker_and_no_pipe_open(tmp_path, monkeypatch, capsys, draw, code, err):
     if draw is not None:
@@ -320,8 +325,8 @@ def test_verify_leaves_no_worker_and_no_pipe_open(tmp_path, monkeypatch, capsys,
 
 @needs_proc
 def test_forked_runner_kills_its_workers_when_the_parent_fails(monkeypatch):
-    # the first result raises in the parent while both workers sleep on later indices
-    class Unreadable(Exception):
+    # an alarm raises in the parent while it polls and both workers sleep on later indices
+    class Interrupted(Exception):
         pass
 
     def run_index(backend, rows):
@@ -329,16 +334,39 @@ def test_forked_runner_kills_its_workers_when_the_parent_fails(monkeypatch):
             time.sleep(60)
         return rows
 
-    def loads(data):
-        raise Unreadable
+    def interrupt(signum, frame):
+        raise Interrupted
 
     monkeypatch.setattr(harness, "run_index", run_index)
-    monkeypatch.setattr(cli, "pickle", SimpleNamespace(dumps=pickle.dumps, loads=loads, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
     fds, kids = sorted(os.listdir("/proc/self/fd")), children()
     start = time.monotonic()
-    with pytest.raises(Unreadable):
-        cli._run_forked(None, [[0], [1], [2]], 2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.alarm(1)
+        with pytest.raises(Interrupted):
+            cli._run_forked(None, [[0], [1], [2]], 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+    assert children() == kids
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_proc
+def test_forked_runner_reads_a_cut_result_as_the_exit_status(monkeypatch):
+    # each worker dies halfway through writing its one pickle
+    def cut_dump(obj, sink, protocol=None):
+        data = pickle.dumps(obj, protocol)
+        sink.write(data[: len(data) // 2])
+        sink.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "run_index", lambda backend, rows: rows)
+    monkeypatch.setattr(pickle, "dump", cut_dump)
+    fds, kids = sorted(os.listdir("/proc/self/fd")), children()
+    with pytest.raises(RuntimeError, match=r"^worker \d+ exited with status 1$"):
+        cli._run_forked(None, [[0], [1], [2]], 2)
     assert children() == kids
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
@@ -509,7 +537,7 @@ def test_exports_resolve():
         mod = importlib.import_module(f"qeuclid.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"qeuclid.{info.name}.{name}"
-    init = ast.parse(open(qeuclid.__file__).read())
+    init = ast.parse(Path(qeuclid.__file__).read_text())
     for node in ast.walk(init):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
