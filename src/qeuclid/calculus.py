@@ -50,12 +50,15 @@ class MultiplierSymbol:
 
     The grid pass samples ``evaluator``.  ``fock``, where the multiplier has
     a closed form on the Fock matrix, maps (matrix, h) to the matrix of
-    g(D) x: see :func:`fock_pass`.
+    g(D) x: see :func:`fock_pass`.  ``key``, the family and its exact
+    parameter values, identifies the function for caches (``label`` rounds
+    them); a symbol without one is never cached.
     """
 
     label: str
     evaluator: Callable[..., np.ndarray]
     fock: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    key: Optional[tuple] = None
 
 
 def heat_symbol(t: float) -> MultiplierSymbol:
@@ -63,7 +66,7 @@ def heat_symbol(t: float) -> MultiplierSymbol:
     if t < 0:
         raise ValueError("heat time must be nonnegative")
     return MultiplierSymbol(
-        f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lambda x, h: _heat(x, t, h)
+        f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lambda x, h: _heat(x, t, h), ("heat", t)
     )
 
 
@@ -73,6 +76,7 @@ def bessel_symbol(s: float) -> MultiplierSymbol:
         f"bessel(s={s:g})",
         lambda *m: (1.0 + _radius_sq(m)) ** (s / 2.0) + 0j,
         lambda x, h: _bessel(x, s, h),
+        ("bessel", s),
     )
 
 
@@ -81,7 +85,7 @@ def derivative_symbol(axis: int) -> MultiplierSymbol:
     if axis not in (0, 1):
         raise ValueError(f"derivative axis must be 0 or 1, got {axis}")
     return MultiplierSymbol(
-        f"d/dx{axis + 1}", lambda *m: 1j * m[axis], lambda x, h: _derivation(x, axis, h)
+        f"d/dx{axis + 1}", lambda *m: 1j * m[axis], lambda x, h: _derivation(x, axis, h), ("derivative", axis)
     )
 
 
@@ -91,16 +95,16 @@ def translation_symbol(a) -> MultiplierSymbol:
     def ev(*m):
         return np.exp(1j * sum(mi * ai for mi, ai in zip(m, a)))
 
-    return MultiplierSymbol(f"translate(a={tuple(a)})", ev)
+    return MultiplierSymbol(f"translate(a={tuple(a)})", ev, key=("translate", tuple(a.tolist())))
 
 
 def constant_symbol(c: complex) -> MultiplierSymbol:
-    return MultiplierSymbol(f"const({c})", lambda *m: np.full_like(m[0], c, dtype=complex))
+    return MultiplierSymbol(f"const({c})", lambda *m: np.full_like(m[0], c, dtype=complex), key=("const", c))
 
 
 def disc_indicator(radius: float) -> MultiplierSymbol:
     return MultiplierSymbol(
-        f"disc(r={radius:g})", lambda *m: (_radius_sq(m) <= radius**2).astype(complex)
+        f"disc(r={radius:g})", lambda *m: (_radius_sq(m) <= radius**2).astype(complex), key=("disc", radius)
     )
 
 
@@ -127,15 +131,21 @@ def evaluate_multiplier(g: MultiplierSymbol, grid: SymbolGrid) -> SymbolGrid:
     return grid.with_samples(np.broadcast_to(vals, grid.samples.shape).copy())
 
 
-def apply_multiplier(g: MultiplierSymbol, xhat: SymbolGrid) -> SymbolGrid:
-    """g * x_hat on the grid of x_hat; refuses an x_hat the grid does not capture."""
+def apply_multiplier(
+    g: MultiplierSymbol, xhat: SymbolGrid, sample: Optional[Callable[[MultiplierSymbol, SymbolGrid], SymbolGrid]] = None
+) -> SymbolGrid:
+    """g * x_hat on the grid of x_hat; refuses an x_hat the grid does not capture.
+
+    ``sample(g, grid)`` gives g on the grid, :func:`evaluate_multiplier` unless
+    the caller holds the samples already.
+    """
     decay = xhat.boundary_decay()
     if decay >= MULTIPLIER_GATE:
         raise BoundaryDecayError(
             f"transform boundary decay {decay:.2e} exceeds {MULTIPLIER_GATE:.0e}; "
             "the grid does not capture this element"
         )
-    return xhat.with_samples(evaluate_multiplier(g, xhat).samples * xhat.samples)
+    return xhat.with_samples((sample or evaluate_multiplier)(g, xhat).samples * xhat.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +253,13 @@ def _spectral_pass(x: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out[:-1].reshape(x.shape)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _heat_basis(N: int, tau: float) -> np.ndarray:
     """Q[p, r, j] = sqrt(w_j) p_k(u_j / (1 + tau)) on the paired slabs, read-only.
 
-    A call of a suite runs the heat flow at one time on many elements; two
-    entries (1.1 MB each at N = 64) serve it without growing a worker."""
+    R9 runs the heat flow at one time on many elements, so one entry (1.1 MB
+    at N = 64) serves its trials; R10's sweep of ten times evicts it once per
+    call, which a second entry would not prevent."""
     u, root_w = _gauss_laguerre(N)
     Q = _laguerre_values(u / (1.0 + tau), root_w)
     Q.setflags(write=False)

@@ -52,7 +52,7 @@ class RunConfig:
     grid_half_width: float = 8.0
     grid_points: int = 64
     master_seed: int = 20240601
-    workers: int = 0  # 0: use cpu count
+    workers: int = 0  # 0: one per CPU this process may run on
     out_dir: str = "qeuclid-out"
     suites: list = field(default_factory=list)
 
@@ -240,7 +240,9 @@ def _resolve_workers(cfg: RunConfig) -> int:
             raise ValueError(f"QEUCLID_WORKERS must be an integer, got {env!r}") from None
     if cfg.workers > 0:
         return cfg.workers
-    return max(1, os.cpu_count() or 1)
+    # the CPUs this process may run on (taskset, a cpuset), where the platform tells
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, usable or 1)
 
 
 def _fmt(x) -> str:
@@ -376,8 +378,7 @@ def _probe_multiplier_norm(args) -> int:
         params["s"] = args.s
     g = calculus.make_multiplier(args.symbol, params, dim=backend.dim)
     lower = harness.estimate_norm_ratio(backend, g, args.p, args.q, args.trials, args.seed)
-    gvals = calculus.evaluate_multiplier(g, backend.fourier_grid())
-    bound = symbols.hormander_constant(gvals, args.p, args.q)
+    bound = backend.hormander_constant(g, args.p, args.q)
     print(f"symbol {g.label}: norm lower bound {lower:.6g}, level-set bound {bound:.6g}, "
           f"ratio {lower / bound if bound > 0 else math.inf:.6g}")
     return 0

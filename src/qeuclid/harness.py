@@ -19,6 +19,13 @@ On the classical backend that is :func:`qeuclid.calculus.apply_multiplier` on
 the cached transform; :class:`MoyalBackend` applies these three families with
 :func:`qeuclid.calculus.fock_pass` on the Fock matrix instead, and keeps the
 grid pass for every other symbol.
+
+What depends only on the window and a suite's parameters is computed once
+per backend: each multiplier symbol sampled on the transform grid, and R9's
+level-set constant per (symbol, p, q), both keyed by the symbol's exact
+parameters.  An element keeps its transform, its singular values and its
+norm at each exponent.  The caches live on the backend and its elements, so
+they end with the ``verify`` call that made them.
 """
 
 from __future__ import annotations
@@ -90,6 +97,18 @@ class RandomElement:
     spec: dict
     _fourier: Optional[SymbolGrid] = None
     _profile: Optional[SingularValueProfile] = None
+    _norms: dict = field(default_factory=dict)  # p -> the backend's norm
+
+
+def _held(cache: dict, g: MultiplierSymbol, args: tuple, compute: Callable):
+    """cache[(g.key, *args)], computed on the first call; a symbol without a
+    ``key`` is computed on every call and never held."""
+    if g.key is None:
+        return compute()
+    key = (g.key, *args)
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 class Backend:
@@ -110,6 +129,8 @@ class Backend:
             raise ValueError(f"grid half-width must be positive, got {half_width}")
         self.half_width = half_width
         self.n = n
+        self._multipliers: dict = {}  # (symbol key, grid half-width) -> samples
+        self._hormander: dict = {}  # (symbol key, p, q) -> ||g||_{r, inf}
 
     # -- elements
 
@@ -158,7 +179,7 @@ class Backend:
 
     def heat_probe(self) -> RandomElement:
         """Fixed wide probe for decay-slope fits: its transform is the heat symbol exp(-heat_rate |xi|^2)."""
-        return self.element_from_symbol(calculus.evaluate_multiplier(heat_symbol(self.heat_rate), self.fourier_grid()))
+        return self.element_from_symbol(self.multiplier(heat_symbol(self.heat_rate), self.fourier_grid()))
 
     # -- analysis
 
@@ -173,12 +194,38 @@ class Backend:
         return el._profile
 
     def norm(self, el: RandomElement, p: float) -> float:
+        """The Schatten p-norm, computed once per (element, p)."""
+        if p not in el._norms:
+            el._norms[p] = self._norm(el, p)
+        return el._norms[p]
+
+    def _norm(self, el: RandomElement, p: float) -> float:
         return spectra.schatten_norm(self.profile(el), p)
 
-    def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
-        """g(D) x from g * x_hat; apply_multiplier gates x_hat, so the symbol gate is off."""
-        gx = calculus.apply_multiplier(g, self.fourier(el))
+    def apply(self, g: MultiplierSymbol, el: RandomElement, hold: bool = True) -> RandomElement:
+        """g(D) x from g * x_hat; apply_multiplier gates x_hat, so the symbol gate is off.
+
+        g's samples are held for the trials that apply g again; a sweep whose
+        symbols no trial repeats passes ``hold=False``.
+        """
+        sample = self.multiplier if hold else calculus.evaluate_multiplier
+        gx = calculus.apply_multiplier(g, self.fourier(el), sample)
         return RandomElement(symbol=gx, payload=self._payload(gx, None), spec=el.spec)
+
+    def multiplier(self, g: MultiplierSymbol, grid: SymbolGrid) -> SymbolGrid:
+        """g sampled on ``grid``, the window's Fourier grid or a transform's grid.
+
+        The key holds the grid's half-width: a classical transform's grid has
+        half-width pi n / (2 (pi n / (2 L))), which can miss L by an ulp
+        (L = 100), and each grid keeps its own samples, as without the cache.
+        """
+        return _held(self._multipliers, g, (grid.half_width,), lambda: calculus.evaluate_multiplier(g, grid))
+
+    def hormander_constant(self, g: MultiplierSymbol, p: float, q: float) -> float:
+        """R9's constant ||g||_{r, inf}, 1/r = 1/p - 1/q, on the transform grid."""
+        return _held(
+            self._hormander, g, (p, q), lambda: symbols.hormander_constant(self.multiplier(g, self.fourier_grid()), p, q)
+        )
 
     def build_tables(self) -> None:
         """Build the cached tables the trials read (none here); verify calls it
@@ -222,11 +269,11 @@ class MoyalBackend(Backend):
         self.theta = DeformationMatrix.canonical(h)
         self.fock_dim = fock_dim
 
-    def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
+    def apply(self, g: MultiplierSymbol, el: RandomElement, hold: bool = True) -> RandomElement:
         """g(D) x: the Fock-basis pass for the heat, Bessel and derivation families, which
         forms no transform and leaves no grid symbol; the grid pass for any other symbol."""
         if g.fock is None:
-            return super().apply(g, el)
+            return super().apply(g, el, hold)
         return RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
 
     def build_tables(self) -> None:
@@ -246,7 +293,7 @@ class MoyalBackend(Backend):
         calculus._gauss_laguerre(N)
         calculus._jacobi_eigen(N, calculus.BESSEL_INNER_FACTOR * N)
 
-    def norm(self, el: RandomElement, p: float) -> float:
+    def _norm(self, el: RandomElement, p: float) -> float:
         """The Schatten p-norm; at p = 2 and 4 from the matrix, with no SVD.
 
         ||x||_2 = (c sum |x_mn|^2)^(1/2) and ||x||_4 = (c ||x^* x||_F^2)^(1/4).
@@ -254,7 +301,7 @@ class MoyalBackend(Backend):
         so a row's value never depends on the rows before it.
         """
         if p not in (2.0, 4.0):
-            return super().norm(el, p)
+            return super()._norm(el, p)
         x = el.payload
         m = x.matrix if p == 2.0 else x.matrix.conj().T @ x.matrix
         return float((x.trace_weight * np.vdot(m, m).real) ** (1.0 / p))
@@ -431,8 +478,7 @@ def _r9(backend, params, els):
     p, q = params["p"], params["q"]
     g = _heat_mult(params)
     lhs = backend.norm(backend.apply(g, x), q)
-    gx = calculus.evaluate_multiplier(g, backend.fourier_grid())
-    rhs = symbols.hormander_constant(gx, p, q) * backend.norm(x, p)
+    rhs = backend.hormander_constant(g, p, q) * backend.norm(x, p)
     return lhs, rhs
 
 
@@ -797,9 +843,10 @@ def estimate_norm_ratio(backend, g: MultiplierSymbol, p: float, q: float, n_tria
 def heat_decay_ratios(
     backend, probe: RandomElement, p: float, q: float, ts: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """(t, ||e^{t Lap} probe||_q / ||probe||_p) at each heat time t."""
+    """(t, ||e^{t Lap} probe||_q / ||probe||_p) at each heat time t; the sweep
+    samples each time's symbol once and holds none of them."""
     base = backend.norm(probe, p)
-    return [(t, backend.norm(backend.apply(heat_symbol(t), probe), q) / base) for t in ts]
+    return [(t, backend.norm(backend.apply(heat_symbol(t), probe, hold=False), q) / base) for t in ts]
 
 
 def fit_decay_slope(samples: Sequence[tuple[float, float]]) -> float:

@@ -371,12 +371,13 @@ def test_fock_pass_refuses_other_families(x):
 
 
 def test_heat_basis_cache_is_bitwise_neutral(backend, x):
-    # the heat pass reads its Gauss-Laguerre basis from a two-entry cache
+    # the heat pass reads its Gauss-Laguerre basis from a one-entry cache
     N, tau = x.payload.fock_dim, 2.0 * 1.0 / x.payload.theta.h
     calculus._heat_basis.cache_clear()
     cold = calculus.fock_pass(heat_symbol(1.0), x.payload).matrix
     warm = calculus.fock_pass(heat_symbol(1.0), x.payload).matrix
     assert calculus._heat_basis.cache_info().hits == 1
+    assert calculus._heat_basis.cache_info().maxsize == 1
     assert np.array_equal(cold, warm)
     Q = calculus._heat_basis(N, tau)
     assert Q.shape == (N // 2 + 1, N, N)  # the paired slabs

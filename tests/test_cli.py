@@ -521,6 +521,21 @@ def test_verify_refuses_a_malformed_worker_count(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    # a process pinned to one CPU of eight gets one worker
+    monkeypatch.delenv("QEUCLID_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._resolve_workers(RunConfig()) == 1
+    assert cli._resolve_workers(RunConfig(workers=3)) == 3
+    monkeypatch.setenv("QEUCLID_WORKERS", "5")
+    assert cli._resolve_workers(RunConfig(workers=3)) == 5
+    # a platform with no affinity mask falls back to the CPU count
+    monkeypatch.delenv("QEUCLID_WORKERS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve_workers(RunConfig()) == 8
+
+
 def test_probe_multiplier_norm():
     res = run_cli(
         ["probe", "multiplier-norm", "--symbol", "heat", "--t", "0.5", "--p", "1.5",

@@ -20,7 +20,7 @@ from qeuclid.harness import (
     summarize_cases,
     trial_plan,
 )
-from qeuclid import calculus, spectra
+from qeuclid import calculus, spectra, symbols
 from qeuclid.calculus import constant_symbol, heat_symbol
 from qeuclid.errors import DomainError, GridMismatchError
 from qeuclid.symbols import GaussianMixture, SymbolGrid, grid_meshes
@@ -469,8 +469,87 @@ def test_moyal_norm_two_and_four_match_svd(small_backend, theta):
             assert b.norm(el, p) == pytest.approx(_svd_norm(el, p), rel=1e-13, abs=0)
     zero = RandomElement(None, QuantizedOperator(np.zeros((N, N)), theta), {})
     assert b.norm(zero, 2.0) == b.norm(zero, 4.0) == _svd_norm(zero, 4.0) == 0.0
-    # a cached profile does not change the rule
+    # a cached profile does not change the rule (the redraw's norms are not memoized yet)
+    before = [b.norm(b.sample_element(derive_seed(5, 9)), p) for p in (2.0, 4.0)]
     fresh = b.sample_element(derive_seed(5, 9))
-    before = [b.norm(fresh, p) for p in (2.0, 4.0)]
     b.profile(fresh)
     assert [b.norm(fresh, p) for p in (2.0, 4.0)] == before
+
+
+# ---------------------------------------------------------------------------
+# trial-invariant caches
+# ---------------------------------------------------------------------------
+
+
+def test_multiplier_caches_key_on_exact_parameters():
+    # heat(t=1) and heat(t=1+1e-7) print one label but are different symbols
+    g, near = heat_symbol(1.0), heat_symbol(1.0 + 1e-7)
+    assert g.label == near.label
+    backend, other = (MoyalBackend(h=1.0, fock_dim=48, half_width=8.0, n=48) for _ in range(2))
+    grid = backend.fourier_grid()
+    a, b = backend.multiplier(g, grid), backend.multiplier(near, grid)
+    assert not np.array_equal(a.samples, b.samples)
+    assert backend.multiplier(heat_symbol(1.0), grid) is a  # a hit, for a symbol built anew
+    for h in (g, near):
+        assert np.array_equal(backend.multiplier(h, grid).samples, calculus.evaluate_multiplier(h, grid).samples)
+    p, q = 4.0 / 3.0, 4.0
+    c, c_near = backend.hormander_constant(g, p, q), backend.hormander_constant(near, p, q)
+    assert c != c_near
+    assert c == symbols.hormander_constant(calculus.evaluate_multiplier(g, grid), p, q)
+    assert backend.hormander_constant(g, 2.0, q) != c  # the exponents are part of the key
+    # two backends on one window share no entry
+    assert other._multipliers == {} and other._hormander == {}
+    assert other.multiplier(g, other.fourier_grid()) is not a
+    assert other.hormander_constant(g, p, q) == c
+    assert len(backend._multipliers) == 2 and len(other._multipliers) == 1
+
+
+def test_uncached_symbols_are_sampled_on_every_call(small_backend, monkeypatch):
+    # a symbol built by hand has no key, so nothing can tell two of them apart
+    calls = []
+    evaluate = calculus.evaluate_multiplier
+    monkeypatch.setattr(calculus, "evaluate_multiplier", lambda g, grid: calls.append(g) or evaluate(g, grid))
+    g = calculus.MultiplierSymbol("twice heat", lambda *m: 2.0 * heat_symbol(1.0).evaluator(*m))
+    held = dict(small_backend._multipliers)
+    for _ in range(2):
+        small_backend.multiplier(g, small_backend.fourier_grid())
+        small_backend.hormander_constant(g, 4.0 / 3.0, 4.0)
+    assert len(calls) == 4 and small_backend._multipliers == held
+
+
+@BACKENDS
+def test_norm_memo_equals_a_fresh_computation(request, backend_name, monkeypatch):
+    backend = request.getfixturevalue(backend_name)
+    ps = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
+    el = backend.sample_element(31)
+    for p in ps:
+        backend.norm(el, p)
+    assert set(el._norms) == set(ps)
+    monkeypatch.setattr(backend, "_norm", lambda el, p: pytest.fail("a memoized norm was recomputed"))
+    memo = [backend.norm(el, p) for p in ps]
+    monkeypatch.undo()
+    redrawn = backend.sample_element(31)
+    assert memo == [backend._norm(redrawn, p) for p in ps]
+
+
+def test_trial_invariant_work_runs_once_per_backend(monkeypatch):
+    # R9's heat symbol and its constant per (p, q), R14's Bessel symbols and
+    # R10's probe depend only on the window and the parameters, so each is
+    # computed once, by the first index that needs it; R10's ten heat times
+    # are sampled once each and not held
+    from qeuclid.oracle import ClassicalBackend
+
+    sampled, constants = [], []
+    evaluate, hormander = calculus.evaluate_multiplier, symbols.hormander_constant
+    monkeypatch.setattr(calculus, "evaluate_multiplier", lambda g, grid: sampled.append(g.key) or evaluate(g, grid))
+    monkeypatch.setattr(symbols, "hormander_constant", lambda g, p, q: constants.append((p, q)) or hormander(g, p, q))
+    backend = ClassicalBackend(64.0, 4096)
+    plans = {tid: trial_plan(backend, tid, n, 11) for tid, n in (("R9", 4), ("R10", 1), ("R14", 6))}
+    for i in range(6):
+        run_index(backend, [(tid, *plan[i]) for tid, plan in plans.items() if i < len(plan)])
+    bessel = {("bessel", params["s"]) for params, _ in plans["R14"]}
+    sweep = {("heat", t) for t in np.geomspace(0.5, 20.0, 10)}
+    assert len(bessel) == 3 and len(sampled) == len(set(sampled))
+    assert set(sampled) == {("heat", 1.0), ("heat", backend.heat_rate)} | bessel | sweep
+    assert sorted(constants) == [(4.0 / 3.0, 4.0), (2.0, 4.0)]
+    assert {key for key, _ in backend._multipliers} == {("heat", 1.0), ("heat", backend.heat_rate)} | bessel
