@@ -31,7 +31,11 @@ so that a move inside that range reads as the host's spread, not the code's.
 
 For each default config in ``VERIFY_RUNS`` (moyal and classical, at 1 and 2
 workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
-``cli.cmd_verify`` once, writing into a temporary directory, and records:
+``cli.cmd_verify``, writing into a temporary directory: once untimed, as a
+warm-up that imports what the call imports and builds the window's tables,
+then ``VERIFY_CALLS`` timed calls, as perfbench's loop does.  A single call of
+0.1-0.2 s in a fresh process is too short to tell a change from the host's
+drift.  For each timed call it records:
 
 - ``wall_s``, the call's wall time, and ``ms_per_trial``, that over the
   run's trial count;
@@ -41,12 +45,14 @@ workers) and each tree it starts ``REPEATS`` fresh processes.  Each one calls
 - ``maxrss_mb`` and ``children_maxrss_mb``, ``ru_maxrss`` of the process and
   of its largest waited-for child: at 2 workers, the largest forked worker;
 - ``minflt``, the minor page faults (``ru_minflt``) the process took during
-  the call, and ``children_minflt``, those of its waited-for children: the
-  forked workers, summed.
+  the call, and ``children_minflt``, those of the call's waited-for children:
+  the forked workers, summed.
 
-Every figure is the median over the processes, with its ``KEY_min`` and
-``KEY_max`` beside it, except the per-suite figures, which are medians only,
-and the two maxrss figures, which are the largest.  BLAS runs on one thread.
+A process reports the median of each figure over its timed calls, and the
+largest maxrss.  Every figure is the median over the processes of those
+medians, with its ``KEY_min`` and ``KEY_max`` beside it, except the
+per-suite figures, which are medians only, and the two maxrss figures, which
+are the largest.  BLAS runs on one thread.
 
 The trees' processes are interleaved: each repeat of a window or a verify run
 starts one process per tree, in the order the trees are given on even
@@ -74,6 +80,7 @@ from time import perf_counter
 WINDOWS = ((64, 64), (128, 64), (96, 96))
 H, HALF_WIDTH = 1.0, 8.0
 CALLS, REPEATS = 9, 3  # timed calls of each kernel per process; fresh processes per window
+VERIFY_CALLS = 5  # timed verify calls per process, after one untimed warm-up call
 #: report key -> (calculus constructor, its argument)
 MULTIPLIERS = {
     "apply_heat_t1_ms": ("heat_symbol", 1.0),
@@ -150,14 +157,15 @@ def table_bytes(tables) -> int:
 
 
 def measure_verify(backend: str, workers: int) -> dict:
-    """One default ``verify`` run in this process; call it only in a fresh one."""
+    """Default ``verify`` calls in this process, one warm-up and VERIFY_CALLS timed;
+    call it only in a fresh one."""
     import tempfile
 
     from qeuclid import cli, harness
 
     cfg = cli.default_config(backend)
     cfg.workers = workers
-    suite_s = {s.theorem: 0.0 for s in cfg.suites}
+    trials = sum(s.n_trials for s in cfg.suites)
     run_case = harness.run_case
 
     def timed_case(backend, tid, *args):
@@ -166,24 +174,37 @@ def measure_verify(backend: str, workers: int) -> dict:
         suite_s[tid] += perf_counter() - t0
         return case
 
+    def faults() -> tuple[int, int]:
+        return tuple(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
     harness.run_case = timed_case
+    calls = []
     with tempfile.TemporaryDirectory() as tmp:
         cfg.out_dir = tmp
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        t0 = perf_counter()
-        rc = cli.cmd_verify(cfg)
-        wall = perf_counter() - t0
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    if rc not in (0, 2):
-        raise SystemExit(f"verify --backend {backend} exited {rc}")
-    trials = sum(s.n_trials for s in cfg.suites)
-    out = {"rc": rc, "trials": trials, "wall_s": wall, "ms_per_trial": wall / trials * 1e3}
+        for _ in range(1 + VERIFY_CALLS):
+            suite_s = dict.fromkeys((s.theorem for s in cfg.suites), 0.0)
+            before = faults()
+            t0 = perf_counter()
+            rc = cli.cmd_verify(cfg)
+            wall = perf_counter() - t0
+            minflt, children_minflt = (a - b for a, b in zip(faults(), before))
+            if rc not in (0, 2):
+                raise SystemExit(f"verify --backend {backend} exited {rc}")
+            calls.append({
+                "wall_s": wall, "ms_per_trial": wall / trials * 1e3,
+                "minflt": minflt, "children_minflt": children_minflt,
+                "suite_ms_per_trial": {s.theorem: suite_s[s.theorem] / s.n_trials * 1e3 for s in cfg.suites},
+            })
+    calls = calls[1:]  # the warm-up is not timed
+    out = {"rc": rc, "trials": trials}
+    for key in ("wall_s", "ms_per_trial", "minflt", "children_minflt"):
+        out[key] = statistics.median(c[key] for c in calls)
     if workers == 1:
-        out["suite_ms_per_trial"] = {s.theorem: suite_s[s.theorem] / s.n_trials * 1e3 for s in cfg.suites}
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+        out["suite_ms_per_trial"] = {
+            tid: statistics.median(c["suite_ms_per_trial"][tid] for c in calls) for tid in calls[0]["suite_ms_per_trial"]
+        }
     out["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    out["children_maxrss_mb"] = children.ru_maxrss / 1024
-    out["minflt"], out["children_minflt"] = faults, children.ru_minflt
+    out["children_maxrss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     return out
 
 
@@ -277,7 +298,7 @@ def main() -> int:
             "python": platform.python_version(),
             "blas_threads": 1,
         },
-        "protocol": {"h": H, "half_width": HALF_WIDTH, "calls": CALLS, "repeats": REPEATS},
+        "protocol": {"h": H, "half_width": HALF_WIDTH, "calls": CALLS, "verify_calls": VERIFY_CALLS, "repeats": REPEATS},
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

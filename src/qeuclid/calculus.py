@@ -48,17 +48,15 @@ MULTIPLIER_GATE = 1e-8
 class MultiplierSymbol:
     """A closed-form multiplier symbol.
 
-    The grid pass samples ``evaluator``.  ``fock``, where the multiplier has
-    a closed form on the Fock matrix, maps (matrix, h) to the matrix of
-    g(D) x: see :func:`fock_pass`.  ``key``, the family and its exact
-    parameter values, identifies the function for caches (``label`` rounds
-    them); a symbol without one is never cached.
+    The grid pass samples ``evaluator`` (:func:`evaluate_multiplier`).
+    ``fock``, where the multiplier has a closed form on the Fock matrix, maps
+    (matrix, h) to the matrix of g(D) x: see :func:`fock_pass`.  ``label``
+    rounds the parameters, so two symbols can share one; nothing keys on it.
     """
 
     label: str
     evaluator: Callable[..., np.ndarray]
     fock: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    key: Optional[tuple] = None
 
 
 def heat_symbol(t: float) -> MultiplierSymbol:
@@ -66,7 +64,7 @@ def heat_symbol(t: float) -> MultiplierSymbol:
     if t < 0:
         raise ValueError("heat time must be nonnegative")
     return MultiplierSymbol(
-        f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lambda x, h: _heat(x, t, h), ("heat", t)
+        f"heat(t={t:g})", lambda *m: np.exp(-t * _radius_sq(m)), lambda x, h: _heat(x, t, h)
     )
 
 
@@ -76,7 +74,6 @@ def bessel_symbol(s: float) -> MultiplierSymbol:
         f"bessel(s={s:g})",
         lambda *m: (1.0 + _radius_sq(m)) ** (s / 2.0) + 0j,
         lambda x, h: _bessel(x, s, h),
-        ("bessel", s),
     )
 
 
@@ -85,7 +82,7 @@ def derivative_symbol(axis: int) -> MultiplierSymbol:
     if axis not in (0, 1):
         raise ValueError(f"derivative axis must be 0 or 1, got {axis}")
     return MultiplierSymbol(
-        f"d/dx{axis + 1}", lambda *m: 1j * m[axis], lambda x, h: _derivation(x, axis, h), ("derivative", axis)
+        f"d/dx{axis + 1}", lambda *m: 1j * m[axis], lambda x, h: _derivation(x, axis, h)
     )
 
 
@@ -95,16 +92,16 @@ def translation_symbol(a) -> MultiplierSymbol:
     def ev(*m):
         return np.exp(1j * sum(mi * ai for mi, ai in zip(m, a)))
 
-    return MultiplierSymbol(f"translate(a={tuple(a)})", ev, key=("translate", tuple(a.tolist())))
+    return MultiplierSymbol(f"translate(a={tuple(a)})", ev)
 
 
 def constant_symbol(c: complex) -> MultiplierSymbol:
-    return MultiplierSymbol(f"const({c})", lambda *m: np.full_like(m[0], c, dtype=complex), key=("const", c))
+    return MultiplierSymbol(f"const({c})", lambda *m: np.full_like(m[0], c, dtype=complex))
 
 
 def disc_indicator(radius: float) -> MultiplierSymbol:
     return MultiplierSymbol(
-        f"disc(r={radius:g})", lambda *m: (_radius_sq(m) <= radius**2).astype(complex), key=("disc", radius)
+        f"disc(r={radius:g})", lambda *m: (_radius_sq(m) <= radius**2).astype(complex)
     )
 
 
@@ -131,21 +128,16 @@ def evaluate_multiplier(g: MultiplierSymbol, grid: SymbolGrid) -> SymbolGrid:
     return grid.with_samples(np.broadcast_to(vals, grid.samples.shape).copy())
 
 
-def apply_multiplier(
-    g: MultiplierSymbol, xhat: SymbolGrid, sample: Optional[Callable[[MultiplierSymbol, SymbolGrid], SymbolGrid]] = None
-) -> SymbolGrid:
-    """g * x_hat on the grid of x_hat; refuses an x_hat the grid does not capture.
-
-    ``sample(g, grid)`` gives g on the grid, :func:`evaluate_multiplier` unless
-    the caller holds the samples already.
-    """
+def apply_multiplier(gs: SymbolGrid, xhat: SymbolGrid) -> SymbolGrid:
+    """gs * x_hat, for gs a symbol sampled on the grid of x_hat (:func:`evaluate_multiplier`);
+    refuses an x_hat the grid does not capture."""
     decay = xhat.boundary_decay()
     if decay >= MULTIPLIER_GATE:
         raise BoundaryDecayError(
             f"transform boundary decay {decay:.2e} exceeds {MULTIPLIER_GATE:.0e}; "
             "the grid does not capture this element"
         )
-    return xhat.with_samples((sample or evaluate_multiplier)(g, xhat).samples * xhat.samples)
+    return xhat.with_samples(gs.samples * xhat.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _strict(value):
+    """A summary field for strict JSON: null for a non-finite number, in a list too."""
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: dict) -> None:
     chash = cfg.config_hash()
     with open(out_dir / "cases.csv", "w", newline="") as fh:
@@ -266,12 +273,9 @@ def _write_reports(out_dir: Path, cfg: RunConfig, all_cases: dict, summaries: di
                     tid, trial, case.seed, params, _fmt(case.lhs), _fmt(case.rhs),
                     _fmt(case.ratio), case.passed, case.reason, chash,
                 ])
-    payload = {
-        "config_hash": chash,
-        "suites": {tid: {k: v for k, v in asdict(s).items() if k != "theorem"} for tid, s in summaries.items()},
-    }
+    suites = {tid: {k: _strict(v) for k, v in asdict(s).items() if k != "theorem"} for tid, s in summaries.items()}
     with open(out_dir / "summaries.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"config_hash": chash, "suites": suites}, fh, indent=2, sort_keys=True, allow_nan=False)
     with open(out_dir / "config.json", "w") as fh:
         fh.write(cfg.to_json())
 
@@ -378,7 +382,7 @@ def _probe_multiplier_norm(args) -> int:
         params["s"] = args.s
     g = calculus.make_multiplier(args.symbol, params, dim=backend.dim)
     lower = harness.estimate_norm_ratio(backend, g, args.p, args.q, args.trials, args.seed)
-    bound = backend.hormander_constant(g, args.p, args.q)
+    bound = symbols.hormander_constant(calculus.evaluate_multiplier(g, backend.fourier_grid()), args.p, args.q)
     print(f"symbol {g.label}: norm lower bound {lower:.6g}, level-set bound {bound:.6g}, "
           f"ratio {lower / bound if bound > 0 else math.inf:.6g}")
     return 0

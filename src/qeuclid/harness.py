@@ -14,24 +14,25 @@ The verifier logic is backend-agnostic: the same registry runs against the
 Fock-truncated backend here and against the commutative backend in
 :mod:`qeuclid.oracle`.  Both subclass :class:`Backend`, which owns
 the element life cycle and the multiplier pass, so every multiplier the
-suites use (heat flow, Bessel potential, derivation) is one ``backend.apply``.
+suites use (heat flow, Bessel potential, derivation) is one ``backend.bind``.
 On the classical backend that is :func:`qeuclid.calculus.apply_multiplier` on
 the cached transform; :class:`MoyalBackend` applies these three families with
 :func:`qeuclid.calculus.fock_pass` on the Fock matrix instead, and keeps the
 grid pass for every other symbol.
 
-What depends only on the window and a suite's parameters is computed once
-per backend: each multiplier symbol sampled on the transform grid, and R9's
-level-set constant per (symbol, p, q), both keyed by the symbol's exact
-parameters.  An element keeps its transform, its singular values and its
-norm at each exponent.  The caches live on the backend and its elements, so
-they end with the ``verify`` call that made them.
+A suite that reads one element declares ``sides_fn(backend, params)``: it
+computes what depends only on the window and the parameters (constants,
+weights, bound passes) once per row and backend, and returns the two sides as
+readers of an element.  An element keeps its transform, its singular values and its norm at
+each exponent.  A reader takes the backend as an argument, so nothing the
+backend keeps refers back to it, and both end with the ``verify`` call.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -100,15 +101,10 @@ class RandomElement:
     _norms: dict = field(default_factory=dict)  # p -> the backend's norm
 
 
-def _held(cache: dict, g: MultiplierSymbol, args: tuple, compute: Callable):
-    """cache[(g.key, *args)], computed on the first call; a symbol without a
-    ``key`` is computed on every call and never held."""
-    if g.key is None:
-        return compute()
-    key = (g.key, *args)
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
+def _grid_pass(gs: SymbolGrid, backend: Backend, el: RandomElement) -> RandomElement:
+    """g(D) x from g * x_hat, gs the samples of g; apply_multiplier gates x_hat, so the symbol gate is off."""
+    gx = calculus.apply_multiplier(gs, backend.fourier(el))
+    return RandomElement(symbol=gx, payload=backend._payload(gx, None), spec=el.spec)
 
 
 class Backend:
@@ -129,8 +125,7 @@ class Backend:
             raise ValueError(f"grid half-width must be positive, got {half_width}")
         self.half_width = half_width
         self.n = n
-        self._multipliers: dict = {}  # (symbol key, grid half-width) -> samples
-        self._hormander: dict = {}  # (symbol key, p, q) -> ||g||_{r, inf}
+        self._rows: dict = {}  # (sides function, params as JSON) -> the row's two sides, see _read_sides
 
     # -- elements
 
@@ -179,7 +174,7 @@ class Backend:
 
     def heat_probe(self) -> RandomElement:
         """Fixed wide probe for decay-slope fits: its transform is the heat symbol exp(-heat_rate |xi|^2)."""
-        return self.element_from_symbol(self.multiplier(heat_symbol(self.heat_rate), self.fourier_grid()))
+        return self.element_from_symbol(calculus.evaluate_multiplier(heat_symbol(self.heat_rate), self.fourier_grid()))
 
     # -- analysis
 
@@ -202,30 +197,15 @@ class Backend:
     def _norm(self, el: RandomElement, p: float) -> float:
         return spectra.schatten_norm(self.profile(el), p)
 
-    def apply(self, g: MultiplierSymbol, el: RandomElement, hold: bool = True) -> RandomElement:
-        """g(D) x from g * x_hat; apply_multiplier gates x_hat, so the symbol gate is off.
+    def apply(self, g: MultiplierSymbol, el: RandomElement) -> RandomElement:
+        """g(D) x, with g bound for this one element."""
+        return self.bind(g)(self, el)
 
-        g's samples are held for the trials that apply g again; a sweep whose
-        symbols no trial repeats passes ``hold=False``.
-        """
-        sample = self.multiplier if hold else calculus.evaluate_multiplier
-        gx = calculus.apply_multiplier(g, self.fourier(el), sample)
-        return RandomElement(symbol=gx, payload=self._payload(gx, None), spec=el.spec)
-
-    def multiplier(self, g: MultiplierSymbol, grid: SymbolGrid) -> SymbolGrid:
-        """g sampled on ``grid``, the window's Fourier grid or a transform's grid.
-
-        The key holds the grid's half-width: a classical transform's grid has
-        half-width pi n / (2 (pi n / (2 L))), which can miss L by an ulp
-        (L = 100), and each grid keeps its own samples, as without the cache.
-        """
-        return _held(self._multipliers, g, (grid.half_width,), lambda: calculus.evaluate_multiplier(g, grid))
-
-    def hormander_constant(self, g: MultiplierSymbol, p: float, q: float) -> float:
-        """R9's constant ||g||_{r, inf}, 1/r = 1/p - 1/q, on the transform grid."""
-        return _held(
-            self._hormander, g, (p, q), lambda: symbols.hormander_constant(self.multiplier(g, self.fourier_grid()), p, q)
-        )
+    def bind(self, g: MultiplierSymbol) -> Callable[[Backend, RandomElement], RandomElement]:
+        """The pass (backend, x) -> g(D) x: the grid pass, with g sampled once on the
+        window's grid.  A classical transform's grid can miss the window's half-width by
+        an ulp (L = 100); its nodes, and so g's samples, then differ in the last bit."""
+        return functools.partial(_grid_pass, calculus.evaluate_multiplier(g, self.fourier_grid()))
 
     def build_tables(self) -> None:
         """Build the cached tables the trials read (none here); verify calls it
@@ -269,12 +249,12 @@ class MoyalBackend(Backend):
         self.theta = DeformationMatrix.canonical(h)
         self.fock_dim = fock_dim
 
-    def apply(self, g: MultiplierSymbol, el: RandomElement, hold: bool = True) -> RandomElement:
-        """g(D) x: the Fock-basis pass for the heat, Bessel and derivation families, which
+    def bind(self, g: MultiplierSymbol) -> Callable[[Backend, RandomElement], RandomElement]:
+        """g's pass: the Fock-basis pass for the heat, Bessel and derivation families, which
         forms no transform and leaves no grid symbol; the grid pass for any other symbol."""
         if g.fock is None:
-            return super().apply(g, el, hold)
-        return RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
+            return super().bind(g)
+        return lambda backend, el: RandomElement(symbol=None, payload=calculus.fock_pass(g, el.payload), spec=el.spec)
 
     def build_tables(self) -> None:
         """The trace-weight check, the quantization tables of the window and the
@@ -364,16 +344,47 @@ _MODE_TOL = {"equality": 1e-4, "one": 1e-3, "empirical": math.inf, "slope": 0.2}
 
 @dataclass(frozen=True)
 class TheoremEntry:
+    """A registered statement: a suite that reads one element gives ``sides_fn``
+    (see the module docstring), R1 (two elements) and R10 (none) ``compute_fn``."""
+
     title: str
     mode: str  # a key of _MODE_TOL
     n_elements: int
     params_fn: Callable[[object], list[dict]]
-    compute_fn: Callable[[object, dict, Sequence[RandomElement]], tuple[float, float]]
+    sides_fn: Optional[Callable[[object, dict], tuple[Callable, Callable]]] = None
     admissible_fn: Optional[Callable[[object, dict], None]] = None
+    compute_fn: Optional[Callable[[object, dict, Sequence[RandomElement]], tuple[float, float]]] = None
+
+    def __post_init__(self):
+        if self.compute_fn is None:
+            object.__setattr__(self, "compute_fn", functools.partial(_read_sides, self.sides_fn))
 
     @property
     def tol(self) -> float:
         return _MODE_TOL[self.mode]
+
+
+def _read_sides(sides_fn, backend, params: dict, els: Sequence[RandomElement]) -> tuple[float, float]:
+    """(lhs, rhs) of a single-element suite.  The row's first trial runs ``sides_fn(backend, params)``, and the
+    backend keeps the readers for the row's later trials; an error there fails the trial like one in a reader."""
+    key = (sides_fn, json.dumps(params, sort_keys=True))
+    if key not in backend._rows:
+        backend._rows[key] = sides_fn(backend, params)
+    lhs, rhs = backend._rows[key]
+    (x,) = els
+    return lhs(backend, x), rhs(backend, x)
+
+
+def _schatten(p: float, c: float = 1.0):
+    return lambda b, x: c * b.norm(x, p)
+
+
+def _weighted(weight: np.ndarray, p: float):
+    return lambda b, x: _weighted_lp(b.fourier(x), weight, p)
+
+
+def _exp_entropy(p: float, c: float = 1.0):
+    return lambda b, x: math.exp(c * spectra.entropy_term(b.profile(x), p))
 
 
 def _grid_integral(f: SymbolGrid, g: SymbolGrid) -> complex:
@@ -402,62 +413,49 @@ def _r1(backend, params, els):
 
 # R2/R3/R4 -------------------------------------------------------------------
 
-def _r2(backend, params, els):
-    (x,) = els
+def _r2(backend, params):
     p = params["p"]
-    return lebesgue_norm(backend.fourier(x), conjugate_exponent(p)), backend.norm(x, p)
+    return lambda b, x: lebesgue_norm(b.fourier(x), conjugate_exponent(p)), _schatten(p)
 
 
-def _r3(backend, params, els):
-    (x,) = els
+def _r3(backend, params):
     p = params["p"]
-    return backend.norm(x, conjugate_exponent(p)), lebesgue_norm(x.symbol, p)
+    return _schatten(conjugate_exponent(p)), lambda b, x: lebesgue_norm(x.symbol, p)
 
 
-def _r4(backend, params, els):
-    (x,) = els
+def _r4(backend, params):
     p = params["p"]
-    return backend.norm(x, p), lebesgue_norm(backend.fourier(x), conjugate_exponent(p))
+    return _schatten(p), lambda b, x: lebesgue_norm(b.fourier(x), conjugate_exponent(p))
 
 
 # R5/R6/R7/R8 ----------------------------------------------------------------
 
-def _r5(backend, params, els):
-    (x,) = els
+def _r5(backend, params):
     p = params["p"]
     hgrid, mh = backend.paley_weight
-    lhs = _weighted_lp(backend.fourier(x), hgrid.samples.real ** (2 - p), p)
-    rhs = mh ** ((2 - p) / p) * backend.norm(x, p)
-    return lhs, rhs
+    return _weighted(hgrid.samples.real ** (2 - p), p), _schatten(p, mh ** ((2 - p) / p))
 
 
-def _r6(backend, params, els):
-    (x,) = els
+def _r6(backend, params):
     p, beta = params["p"], params["beta"]
     phi = 1.0 + symbols._radius_sq(backend._meshes)
-    lhs = _weighted_lp(backend.fourier(x), phi ** (beta * (p - 2)), p)
-    return lhs, backend.norm(x, p)
+    return _weighted(phi ** (beta * (p - 2)), p), _schatten(p)
 
 
-def _r7(backend, params, els):
-    (x,) = els
+def _r7(backend, params):
     p, beta = params["p"], params["beta"]
     pp = conjugate_exponent(p)
     phi = 1.0 + symbols._radius_sq(backend._meshes)
     # p-th roots of both sides keep the ratio scale-invariant
-    rhs = _weighted_lp(backend.fourier(x), phi ** (beta * p * (2 - pp) / pp), p)
-    return backend.norm(x, p), rhs
+    return _schatten(p), _weighted(phi ** (beta * p * (2 - pp) / pp), p)
 
 
-def _r8(backend, params, els):
-    (x,) = els
+def _r8(backend, params):
     p, r = params["p"], params["r"]
     pp = conjugate_exponent(p)
     hgrid, mh = backend.paley_weight
     expo = r * (1.0 / r - 1.0 / pp)
-    lhs = _weighted_lp(backend.fourier(x), hgrid.samples.real**expo, r)
-    rhs = mh ** (1.0 / r - 1.0 / pp) * backend.norm(x, p)
-    return lhs, rhs
+    return _weighted(hgrid.samples.real**expo, r), _schatten(p, mh ** (1.0 / r - 1.0 / pp))
 
 
 def _r8_admissible(backend, params):
@@ -469,17 +467,12 @@ def _r8_admissible(backend, params):
 
 # R9/R10 ----------------------------------------------------------------------
 
-def _heat_mult(params) -> MultiplierSymbol:
-    return heat_symbol(params.get("t0", 1.0))
-
-
-def _r9(backend, params, els):
-    (x,) = els
+def _r9(backend, params):
     p, q = params["p"], params["q"]
-    g = _heat_mult(params)
-    lhs = backend.norm(backend.apply(g, x), q)
-    rhs = backend.hormander_constant(g, p, q) * backend.norm(x, p)
-    return lhs, rhs
+    g = heat_symbol(params.get("t0", 1.0))
+    c = symbols.hormander_constant(calculus.evaluate_multiplier(g, backend.fourier_grid()), p, q)
+    heat = backend.bind(g)
+    return lambda b, x: b.norm(heat(b, x), q), _schatten(p, c)
 
 
 def _pq_admissible(backend, params):
@@ -490,7 +483,7 @@ def _pq_admissible(backend, params):
 
 def _heat_admissible(backend, params):
     _pq_admissible(backend, params)
-    _heat_mult(params)  # refuses a negative heat time
+    heat_symbol(params.get("t0", 1.0))  # refuses a negative heat time
 
 
 def _heat_times(params) -> tuple[float, float, int]:
@@ -521,26 +514,24 @@ def _r10(backend, params, els):
 
 # R11/R12 --------------------------------------------------------------------------
 
-def _r11(backend, params, els):
-    (x,) = els
+def _r11(backend, params):
     p = params["p"]
     pp = conjugate_exponent(p)
-    return backend.norm(x, pp), lorentz_norm(x.symbol, p, pp)
+    return _schatten(pp), lambda b, x: lorentz_norm(x.symbol, p, pp)
 
 
-def _r12(backend, params, els):
-    (x,) = els
+def _r12(backend, params):
     p = params["p"]
     pp = conjugate_exponent(p)
-    return lorentz_norm(backend.fourier(x), pp, p), backend.norm(x, p)
+    return lambda b, x: lorentz_norm(b.fourier(x), pp, p), _schatten(p)
 
 
 # R14 --------------------------------------------------------------------------
 
-def _r14(backend, params, els):
-    (x,) = els
+def _r14(backend, params):
     p, q, s = params["p"], params["q"], params["s"]
-    return backend.norm(x, q), sobolev_norm(backend, x, p, s)
+    bessel = backend.bind(bessel_symbol(s))  # ||x||_{L^p_s} = ||(1 - Lap)^{s/2} x||_p
+    return _schatten(q), lambda b, x: b.norm(bessel(b, x), p)
 
 
 def _r14_admissible(backend, params):
@@ -554,13 +545,10 @@ def _r14_admissible(backend, params):
 
 # R15/R16 ----------------------------------------------------------------------
 
-def _r15(backend, params, els):
-    (x,) = els
+def _r15(backend, params):
     p, r, q = params["p"], params["r"], params["q"]
     eta = (1.0 / r - 1.0 / q) / (1.0 / p - 1.0 / q)
-    lhs = backend.norm(x, r)
-    rhs = backend.norm(x, p) ** eta * backend.norm(x, q) ** (1 - eta)
-    return lhs, rhs
+    return _schatten(r), lambda b, x: b.norm(x, p) ** eta * b.norm(x, q) ** (1 - eta)
 
 
 def _r15_admissible(backend, params):
@@ -569,17 +557,11 @@ def _r15_admissible(backend, params):
         raise ValueError(f"need 1 <= p <= r <= q < inf with p < q, got p={p}, r={r}, q={q}")
 
 
-def _r16(backend, params, els):
-    (x,) = els
+def _r16(backend, params):
     p, q = params["p"], params["q"]
-    prof = backend.profile(x)
-    ent = spectra.entropy_term(prof, p)
-    np_, nq = backend.norm(x, p), backend.norm(x, q)
     # both sides exponentiated: the raw right side q/(q-p) log(...) may be
     # negative, which would flip the ratio ordering
-    lhs = math.exp(ent)
-    rhs = (nq / np_) ** (p * q / (q - p))
-    return lhs, rhs
+    return _exp_entropy(p), lambda b, x: (b.norm(x, q) / b.norm(x, p)) ** (p * q / (q - p))
 
 
 def _r16_admissible(backend, params):
@@ -590,15 +572,13 @@ def _r16_admissible(backend, params):
 
 # R17/R18 ----------------------------------------------------------------------
 
-def _r17(backend, params, els):
-    (x,) = els
+def _r17(backend, params):
     p, s = params["p"], params["s"]
     d = backend.dim
-    ent = spectra.entropy_term(backend.profile(x), p)
-    ratio_norms = (sobolev_norm(backend, x, p, s) / backend.norm(x, p)) ** p
+    bessel = backend.bind(bessel_symbol(s))
     # exp((sp/d) * entropy) <= C * ||x||_{L^p_s}^p / ||x||_p^p ; the ratio is
     # the per-trial implied constant
-    return math.exp(s * p / d * ent), ratio_norms
+    return _exp_entropy(p, s * p / d), lambda b, x: (b.norm(bessel(b, x), p) / b.norm(x, p)) ** p
 
 
 def _r17_admissible(backend, params):
@@ -610,16 +590,18 @@ def _r17_admissible(backend, params):
         raise ValueError(f"s={s} outside [{d*(2-p)/(2*p)}, {d/p})")
 
 
-def _r18(backend, params, els):
-    (x,) = els
+def _r18(backend, params):
     d = backend.dim
-    # ||x||_{W^{1,2}} = ||x||_2 + ||d_d x||_2 + ... + ||d_1 x||_2, summed in this order
-    w12 = backend.norm(x, 2.0)
-    for axis in reversed(range(d)):
-        w12 += backend.norm(backend.apply(derivative_symbol(axis), x), 2.0)
-    lhs = backend.norm(x, 2.0) ** (1.0 + 2.0 / d)
-    rhs = w12 * backend.norm(x, 1.0) ** (2.0 / d)
-    return lhs, rhs
+    derivations = [backend.bind(derivative_symbol(axis)) for axis in reversed(range(d))]
+
+    def rhs(b, x):
+        # ||x||_{W^{1,2}} = ||x||_2 + ||d_d x||_2 + ... + ||d_1 x||_2, summed in this order
+        w12 = b.norm(x, 2.0)
+        for derivation in derivations:
+            w12 += b.norm(derivation(b, x), 2.0)
+        return w12 * b.norm(x, 1.0) ** (2.0 / d)
+
+    return lambda b, x: b.norm(x, 2.0) ** (1.0 + 2.0 / d), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +639,7 @@ def _thr(backend, p, q):
 
 
 REGISTRY: dict[str, TheoremEntry] = {
-    "R1": TheoremEntry("transform pairing identity", "equality", 2, lambda b: [{}], _r1),
+    "R1": TheoremEntry("transform pairing identity", "equality", 2, lambda b: [{}], compute_fn=_r1),
     "R2": TheoremEntry("transform p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r2, _p_range(1, 2)),
     "R3": TheoremEntry("quantization p' bound", "one", 1, _p_grid(1.0, 4.0 / 3.0, 2.0), _r3, _p_range(1, 2)),
     "R4": TheoremEntry("reverse transform bound", "one", 1, _p_grid(2.0, 3.0, 4.0), _r4, _p_range(2, math.inf)),
@@ -690,8 +672,8 @@ REGISTRY: dict[str, TheoremEntry] = {
     "R10": TheoremEntry(
         "heat decay slope", "slope", 0,
         lambda b: [{"p": 4.0 / 3.0, "q": 4.0, "tmin": 0.5, "tmax": 20.0, "npts": 10}],
-        _r10,
-        _r10_admissible,
+        admissible_fn=_r10_admissible,
+        compute_fn=_r10,
     ),
     "R11": TheoremEntry("Lorentz quantization bound", "empirical", 1, _p_grid(4.0 / 3.0, 2.0), _r11, _p_range(1, 2)),
     "R12": TheoremEntry("Lorentz transform bound", "one", 1, _p_grid(4.0 / 3.0, 2.0), _r12, _p_range(1, 2)),
@@ -833,20 +815,20 @@ def estimate_norm_ratio(backend, g: MultiplierSymbol, p: float, q: float, n_tria
     norm itself: random search has no optimality certificate here.
     """
     _pq_admissible(backend, {"p": p, "q": q})
+    multiplier = backend.bind(g)
     best = 0.0
     for i in range(n_trials):
         x = backend.sample_element(derive_seed(seed, "norm_ratio", i))
-        best = max(best, backend.norm(backend.apply(g, x), q) / backend.norm(x, p))
+        best = max(best, backend.norm(multiplier(backend, x), q) / backend.norm(x, p))
     return best
 
 
 def heat_decay_ratios(
     backend, probe: RandomElement, p: float, q: float, ts: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """(t, ||e^{t Lap} probe||_q / ||probe||_p) at each heat time t; the sweep
-    samples each time's symbol once and holds none of them."""
+    """(t, ||e^{t Lap} probe||_q / ||probe||_p) at each heat time t."""
     base = backend.norm(probe, p)
-    return [(t, backend.norm(backend.apply(heat_symbol(t), probe, hold=False), q) / base) for t in ts]
+    return [(t, backend.norm(backend.apply(heat_symbol(t), probe), q) / base) for t in ts]
 
 
 def fit_decay_slope(samples: Sequence[tuple[float, float]]) -> float:

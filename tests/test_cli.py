@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,64 @@ def test_verify_small_config_exit_zero(tmp_path):
     summary = json.loads((tmp_path / "out" / "summaries.json").read_text())
     assert set(summary["suites"]) == {"R2", "R15"}
     assert all(s["failures"] == 0 for s in summary["suites"].values())
+
+
+def test_summaries_json_is_strict_json(tmp_path, monkeypatch):
+    # R10 runs one trial, so its first batch is empty: its constant is written
+    # as null, which strict parsers accept, where NaN is refused
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    monkeypatch.setenv("QEUCLID_WORKERS", "1")
+    cfg = default_config("classical")
+    cfg.out_dir = str(tmp_path / "out")
+    assert cmd_verify(cfg) == 0
+    summary = json.loads((tmp_path / "out" / "summaries.json").read_text(), parse_constant=refuse)
+    assert summary["suites"]["R10"]["batch_constants"][0] is None
+    assert all(v is not None for s in summary["suites"].values() for v in (s["fitted_constant"], s["median_ratio"]))
+
+
+def test_verify_runs_a_params_row_with_an_extra_key(tmp_path):
+    # a key no suite reads is carried into the report, and the row still runs
+    cfg = small_config(tmp_path / "out", suites=("R2",))
+    cfg.suites[0].params_grid = [{"p": 2.0, "note": [1, "a"]}]
+    assert cmd_verify(cfg) == 0
+    with open(tmp_path / "out" / "cases.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [json.loads(r["params"]) for r in rows] == [{"note": [1, "a"], "p": 2.0}] * 4
+    assert all(r["reason"] == "" for r in rows)
+
+
+def test_no_backend_outlives_its_call(tmp_path, monkeypatch):
+    # nothing a backend keeps (its rows' sides, their passes) refers back to
+    # it, so it dies with its last reference, with no cyclic collection
+    from qeuclid.harness import MoyalBackend, run_index, trial_plan
+
+    made = []
+    make = cli.make_backend
+
+    def recorded(cfg):
+        backend = make(cfg)
+        made.append(weakref.ref(backend))
+        return backend
+
+    monkeypatch.setattr(cli, "make_backend", recorded)
+    monkeypatch.setenv("QEUCLID_WORKERS", "1")
+    cfg = default_config("classical")
+    cfg.out_dir = str(tmp_path / "out")
+    gc.disable()
+    try:
+        assert cmd_verify(cfg) == 0
+        assert len(made) == 1 and made[0]() is None
+        # every suite's rows at one trial index, on the Moyal plane
+        backend = MoyalBackend(h=1.0, fock_dim=32, half_width=8.0, n=48)
+        run_index(backend, [(tid, *trial_plan(backend, tid, 1, 7)[0]) for tid in harness.registry_ids()])
+        assert len(backend._rows) == 15
+        alive = weakref.ref(backend)
+        del backend
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_cases_csv_parses_with_csv_module(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qeuclid.harness import (
     summarize_cases,
     trial_plan,
 )
-from qeuclid import calculus, spectra, symbols
+from qeuclid import calculus, harness, spectra, symbols
 from qeuclid.calculus import constant_symbol, heat_symbol
 from qeuclid.errors import DomainError, GridMismatchError
 from qeuclid.symbols import GaussianMixture, SymbolGrid, grid_meshes
@@ -74,8 +75,8 @@ def test_apply_sets_multiplied_symbol(request, backend_name):
     el = backend.sample_element(3)
     xhat = backend.fourier(el)
     g = heat_symbol(0.5)
-    # the base apply is the grid pass; MoyalBackend.apply takes the Fock pass for heat
-    out = Backend.apply(backend, g, el)
+    # the base pass is the grid pass; MoyalBackend's takes the Fock pass for heat
+    out = Backend.bind(backend, g)(backend, el)
     assert out.symbol.same_grid(backend.fourier_grid())
     expected = calculus.evaluate_multiplier(g, xhat).samples * xhat.samples
     assert np.array_equal(out.symbol.samples, expected)
@@ -477,44 +478,111 @@ def test_moyal_norm_two_and_four_match_svd(small_backend, theta):
 
 
 # ---------------------------------------------------------------------------
-# trial-invariant caches
+# a suite row's trial-invariant work
 # ---------------------------------------------------------------------------
 
 
-def test_multiplier_caches_key_on_exact_parameters():
-    # heat(t=1) and heat(t=1+1e-7) print one label but are different symbols
-    g, near = heat_symbol(1.0), heat_symbol(1.0 + 1e-7)
-    assert g.label == near.label
-    backend, other = (MoyalBackend(h=1.0, fock_dim=48, half_width=8.0, n=48) for _ in range(2))
-    grid = backend.fourier_grid()
-    a, b = backend.multiplier(g, grid), backend.multiplier(near, grid)
-    assert not np.array_equal(a.samples, b.samples)
-    assert backend.multiplier(heat_symbol(1.0), grid) is a  # a hit, for a symbol built anew
-    for h in (g, near):
-        assert np.array_equal(backend.multiplier(h, grid).samples, calculus.evaluate_multiplier(h, grid).samples)
-    p, q = 4.0 / 3.0, 4.0
-    c, c_near = backend.hormander_constant(g, p, q), backend.hormander_constant(near, p, q)
-    assert c != c_near
-    assert c == symbols.hormander_constant(calculus.evaluate_multiplier(g, grid), p, q)
-    assert backend.hormander_constant(g, 2.0, q) != c  # the exponents are part of the key
-    # two backends on one window share no entry
-    assert other._multipliers == {} and other._hormander == {}
-    assert other.multiplier(g, other.fourier_grid()) is not a
-    assert other.hormander_constant(g, p, q) == c
-    assert len(backend._multipliers) == 2 and len(other._multipliers) == 1
+def recorded(monkeypatch, module, name, record=lambda args, out: args):
+    """Replace module.name by a wrapper that appends record(args, result) of each call to the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        calls.append(record(args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
-def test_uncached_symbols_are_sampled_on_every_call(small_backend, monkeypatch):
-    # a symbol built by hand has no key, so nothing can tell two of them apart
-    calls = []
-    evaluate = calculus.evaluate_multiplier
-    monkeypatch.setattr(calculus, "evaluate_multiplier", lambda g, grid: calls.append(g) or evaluate(g, grid))
+def run_plans(backend, plans):
+    """Every trial index of ``plans`` (theorem -> its trial_plan) through run_index, in order."""
+    for i in range(max(map(len, plans.values()))):
+        run_index(backend, [(tid, *plan[i]) for tid, plan in plans.items() if i < len(plan)])
+
+
+def test_rows_prepare_trial_invariant_work_once(monkeypatch):
+    # R9's constant per row, its heat pass and R14's Bessel pass depend only on
+    # the window and the row, so the row's first trial prepares them and the
+    # backend keeps them; R10 samples its probe's symbol and each of its ten
+    # heat times once, and the backend keeps none of them
+    from qeuclid.oracle import ClassicalBackend
+
+    sampled = recorded(monkeypatch, calculus, "evaluate_multiplier", lambda args, out: (args[0].label, weakref.ref(out)))
+    constants = recorded(monkeypatch, symbols, "hormander_constant", lambda args, out: args[1:])
+    backend = ClassicalBackend(64.0, 4096)
+    plans = {tid: trial_plan(backend, tid, n, 11) for tid, n in (("R9", 4), ("R10", 1), ("R14", 6))}
+    run_plans(backend, plans)
+    assert sorted(constants) == [(4.0 / 3.0, 4.0), (2.0, 4.0)]
+    heat = heat_symbol(1.0).label
+    bessel = sorted({calculus.bessel_symbol(params["s"]).label for params, _ in plans["R14"]})
+    sweep = [heat_symbol(t).label for t in np.geomspace(0.5, 20.0, 10)]
+    probe = heat_symbol(backend.heat_rate).label
+    # R9: its constant's samples and its pass's, per row; R14: one per row
+    assert sorted(label for label, _ in sampled) == sorted([heat] * 4 + bessel + sweep + [probe])
+    assert len(bessel) == 3 and len(set(sweep + [probe, heat])) == 12
+    assert sorted(label for label, alive in sampled if alive() is not None) == sorted([heat] * 2 + bessel)
+    assert len(backend._rows) == 5
+
+
+def test_rows_key_on_exact_parameters(monkeypatch):
+    # heat(t=1) and heat(t=1+1e-7) print one label but are different symbols,
+    # so their R9 rows get different constants; a row's later trial reuses its
+    # sides, and two backends on one window share none
+    from qeuclid.oracle import ClassicalBackend
+
+    constants = recorded(monkeypatch, symbols, "hormander_constant", lambda args, out: out)
+    assert heat_symbol(1.0).label == heat_symbol(1.0 + 1e-7).label
+    rows = [{"p": 4.0 / 3.0, "q": 4.0, "t0": t} for t in (1.0, 1.0 + 1e-7)]
+    backend, other = ClassicalBackend(64.0, 4096), ClassicalBackend(64.0, 4096)
+    seed = derive_seed(3, 0)
+    cases = [run_case(backend, "R9", params, seed) for params in rows + rows]
+    assert len(constants) == 2 and constants[0] != constants[1]
+    assert cases[0].rhs != cases[1].rhs and [c.rhs for c in cases[2:]] == [c.rhs for c in cases[:2]]
+    assert other._rows == {}
+    assert run_case(other, "R9", rows[0], seed).rhs == cases[0].rhs
+    assert len(constants) == 3 and len(other._rows) == 1 and len(backend._rows) == 2
+    for key, sides in other._rows.items():
+        assert all(a is not b for a, b in zip(sides, backend._rows[key]))
+
+
+def test_weights_are_built_once_per_row(monkeypatch):
+    # R6 and R7 weigh the transform by a power of 1 + |s|^2 that depends only
+    # on the window and the row: the row builds it once, and every trial of
+    # the row reads that one array
+    from qeuclid.oracle import ClassicalBackend
+
+    weights = recorded(monkeypatch, harness, "_weighted_lp", lambda args, out: args[1])
+    backend = ClassicalBackend(64.0, 4096)
+    run_plans(backend, {tid: trial_plan(backend, tid, 8, 5) for tid in ("R6", "R7")})  # 4 rows each, twice
+    assert len(weights) == 16 and len({id(w) for w in weights}) == 8
+
+
+def test_an_error_preparing_a_row_fails_its_trials(monkeypatch):
+    # preparing a row runs inside the trial's error handling, so a failure
+    # there fails the row's trials with its message and keeps no sides
+    from qeuclid.oracle import ClassicalBackend
+
+    def refuse(g, p, q):
+        raise DomainError("synthetic level-set failure")
+
+    monkeypatch.setattr(symbols, "hormander_constant", refuse)
+    backend = ClassicalBackend(64.0, 4096)
+    cases = [run_case(backend, "R9", params, seed) for params, seed in trial_plan(backend, "R9", 4, 1)]
+    assert [(c.passed, c.reason) for c in cases] == [(False, "DomainError: synthetic level-set failure")] * 4
+    assert backend._rows == {}
+
+
+def test_apply_samples_its_symbol_on_every_call(small_backend, monkeypatch):
+    # apply binds a grid symbol for its one call: each call samples it, and the
+    # backend keeps nothing of it
+    sampled = recorded(monkeypatch, calculus, "evaluate_multiplier")
     g = calculus.MultiplierSymbol("twice heat", lambda *m: 2.0 * heat_symbol(1.0).evaluator(*m))
-    held = dict(small_backend._multipliers)
+    rows = dict(small_backend._rows)
+    el = small_backend.sample_element(3)
     for _ in range(2):
-        small_backend.multiplier(g, small_backend.fourier_grid())
-        small_backend.hormander_constant(g, 4.0 / 3.0, 4.0)
-    assert len(calls) == 4 and small_backend._multipliers == held
+        small_backend.apply(g, el)
+    assert len(sampled) == 2 and small_backend._rows == rows
 
 
 @BACKENDS
@@ -532,24 +600,3 @@ def test_norm_memo_equals_a_fresh_computation(request, backend_name, monkeypatch
     assert memo == [backend._norm(redrawn, p) for p in ps]
 
 
-def test_trial_invariant_work_runs_once_per_backend(monkeypatch):
-    # R9's heat symbol and its constant per (p, q), R14's Bessel symbols and
-    # R10's probe depend only on the window and the parameters, so each is
-    # computed once, by the first index that needs it; R10's ten heat times
-    # are sampled once each and not held
-    from qeuclid.oracle import ClassicalBackend
-
-    sampled, constants = [], []
-    evaluate, hormander = calculus.evaluate_multiplier, symbols.hormander_constant
-    monkeypatch.setattr(calculus, "evaluate_multiplier", lambda g, grid: sampled.append(g.key) or evaluate(g, grid))
-    monkeypatch.setattr(symbols, "hormander_constant", lambda g, p, q: constants.append((p, q)) or hormander(g, p, q))
-    backend = ClassicalBackend(64.0, 4096)
-    plans = {tid: trial_plan(backend, tid, n, 11) for tid, n in (("R9", 4), ("R10", 1), ("R14", 6))}
-    for i in range(6):
-        run_index(backend, [(tid, *plan[i]) for tid, plan in plans.items() if i < len(plan)])
-    bessel = {("bessel", params["s"]) for params, _ in plans["R14"]}
-    sweep = {("heat", t) for t in np.geomspace(0.5, 20.0, 10)}
-    assert len(bessel) == 3 and len(sampled) == len(set(sampled))
-    assert set(sampled) == {("heat", 1.0), ("heat", backend.heat_rate)} | bessel | sweep
-    assert sorted(constants) == [(4.0 / 3.0, 4.0), (2.0, 4.0)]
-    assert {key for key, _ in backend._multipliers} == {("heat", 1.0), ("heat", backend.heat_rate)} | bessel
