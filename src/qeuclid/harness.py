@@ -112,7 +112,8 @@ class Backend:
 
     A subclass keeps only its own maps: ``_payload(f, boundary_gate)`` from a
     symbol to the algebra element, ``_transform(payload)`` back to the
-    transform, ``_profile(payload)`` and ``pair_trace(x, y)`` = tau(x y^*).  It
+    transform, ``_profile(payload)``, ``pair_trace(x, y)`` = tau(x y^*) and,
+    where it can skip the profile, ``_norm(el, p)``, the Schatten p-norm.  It
     sets ``dim``, the draw's smallest component width ``width_floor`` and the
     heat probe's rate ``heat_rate``, and takes its window (``half_width``,
     ``n``) through this constructor, which refuses a window no grid can hold.

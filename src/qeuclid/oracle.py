@@ -5,12 +5,15 @@ a position function F, the trace is (2 pi)^-d times the Lebesgue integral
 (the normalization forced by tau(quantize(f)) = f(0)), and the transform of
 the element is the plain Fourier transform.  Like
 :class:`qeuclid.harness.MoyalBackend` it subclasses
-:class:`qeuclid.harness.Backend`, which owns the draw, the caches, the norms
-and the multiplier pass; this module supplies only its own maps (symbol to
-position function, position function to transform, the rearrangement
-profile and the trace pairing).  Every registry suite runs on it unchanged
-and cross-validates the verifier formulas with fast-transform numerics that
-carry no truncation artifacts.
+:class:`qeuclid.harness.Backend`, which owns the draw, the caches and the
+multiplier pass; this module supplies only its own maps (symbol to position
+function, position function to transform, the Schatten norms, the
+rearrangement profile and the trace pairing).  The singular-value function
+of F is the decreasing rearrangement of |F|, but a Schatten norm is a
+symmetric function of the singular values, so the norms read |F| in grid
+order and sort nothing; the sorted profile serves the entropy terms.  Every
+registry suite runs on it unchanged and cross-validates the verifier
+formulas with fast-transform numerics that carry no truncation artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .harness import Backend, RandomElement
-from .spectra import SingularValueProfile
+from .spectra import SingularValueProfile, power_sum_norm
 from .symbols import classical_fourier, rearrangement
 
 __all__ = ["ClassicalBackend"]
@@ -48,6 +51,11 @@ class ClassicalBackend(Backend):
     def _transform(self, payload):
         fhat = classical_fourier(payload, -1)
         return fhat.with_samples(fhat.samples / self.trace_scale)
+
+    def _norm(self, el: RandomElement, p: float) -> float:
+        """(dV / trace_scale sum_k |F_k|^p)^(1/p) over the samples in grid order, max |F| at p = inf."""
+        F = el.payload
+        return power_sum_norm(np.abs(F.samples), F.cell_volume / self.trace_scale, p)
 
     def _profile(self, payload):
         return SingularValueProfile(rearrangement(payload), payload.cell_volume / self.trace_scale)

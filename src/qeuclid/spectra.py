@@ -18,6 +18,7 @@ from .weyl import QuantizedOperator
 __all__ = [
     "SingularValueProfile",
     "singular_profile",
+    "power_sum_norm",
     "schatten_norm",
     "entropy_term",
 ]
@@ -55,12 +56,21 @@ def singular_profile(x: QuantizedOperator) -> SingularValueProfile:
     return SingularValueProfile(sv, x.trace_weight)
 
 
-def schatten_norm(profile: SingularValueProfile, p: float) -> float:
+def power_sum_norm(values: np.ndarray, weight: float, p: float) -> float:
+    """(weight sum_k v_k^p)^(1/p) over non-negative values v, max v at p = inf.
+
+    A symmetric function of the values, so they may come in any order: the
+    Schatten norm of an operator needs its singular values, not their ranks.
+    """
     if np.isinf(p):
-        return float(profile.sigmas[0]) if profile.sigmas.size else 0.0
+        return float(values.max()) if values.size else 0.0
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((profile.weight * np.sum(profile.sigmas**p)) ** (1.0 / p))
+    return float((weight * np.sum(values**p)) ** (1.0 / p))
+
+
+def schatten_norm(profile: SingularValueProfile, p: float) -> float:
+    return power_sum_norm(profile.sigmas, profile.weight, p)
 
 
 def entropy_term(profile: SingularValueProfile, p: float) -> float:

@@ -210,7 +210,9 @@ def classical_fourier(f: SymbolGrid, sign: int = -1) -> SymbolGrid:
 
     sign=-1 computes int f(s) exp(-i(t,s)) ds; sign=+1 uses the kernel
     exp(+i(t,s)) with no (2pi)^-d factor.  The output grid has half-width
-    pi*n/(2L), so transforming twice returns to the original grid.
+    pi*n/(2L), so transforming twice returns to the original grid up to the
+    rounding of that half-width: at L = 100 it comes back one ulp narrower
+    (99.99999999999999), which :meth:`SymbolGrid.same_grid` accepts.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")

@@ -20,6 +20,7 @@ from conftest import cli_env
 
 from qeuclid import cli, harness, spectra
 from qeuclid.cli import RunConfig, SuiteConfig, cmd_verify, default_config, main, make_backend
+from qeuclid.oracle import ClassicalBackend
 
 
 def small_config(out_dir, trials=4, suites=("R2", "R15"), backend="moyal"):
@@ -255,21 +256,25 @@ def test_default_config_covers_registry():
 
 def test_verify_deterministic_across_worker_counts(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    # R9 and R18 run Fock-basis passes on tables the forked workers inherit;
-    # R1 draws two elements, and unequal trial counts give per-index tasks of
-    # different sizes (5, 4, 3 and 2 rows)
-    base = small_config("PLACEHOLDER", trials=6, suites=("R1", "R2", "R9", "R15", "R18"))
-    payload = json.loads(base.to_json())
-    for suite, trials in zip(payload["suites"], (3, 6, 4, 6, 5)):
-        suite["n_trials"] = trials
-    for out, workers, sub in ((out1, "1", "a"), (out2, "2", "b")):
-        payload["out_dir"] = str(out)
-        cfg_path.write_text(json.dumps(payload))
-        res = run_cli(["verify", "--config", str(cfg_path)], env_extra={"QEUCLID_WORKERS": workers})
-        assert res.returncode == 0, res.stderr
-    assert (out1 / "cases.csv").read_bytes() == (out2 / "cases.csv").read_bytes()
-    assert (out1 / "summaries.json").read_bytes() == (out2 / "summaries.json").read_bytes()
+    # on the Moyal backend R9 and R18 run Fock-basis passes on tables the
+    # forked workers inherit; on the classical one every norm reads |F| in
+    # grid order; R1 draws two elements, and unequal trial counts give
+    # per-index tasks of different sizes (5, 4, 3 and 2 rows)
+    for backend in ("moyal", "classical"):
+        base = small_config("PLACEHOLDER", trials=6, suites=("R1", "R2", "R9", "R15", "R18"), backend=backend)
+        if backend == "classical":
+            base.grid_half_width, base.grid_points = 64.0, 1024
+        payload = json.loads(base.to_json())
+        for suite, trials in zip(payload["suites"], (3, 6, 4, 6, 5)):
+            suite["n_trials"] = trials
+        out1, out2 = tmp_path / backend / "w1", tmp_path / backend / "w2"
+        for out, workers in ((out1, "1"), (out2, "2")):
+            payload["out_dir"] = str(out)
+            cfg_path.write_text(json.dumps(payload))
+            res = run_cli(["verify", "--config", str(cfg_path)], env_extra={"QEUCLID_WORKERS": workers})
+            assert res.returncode == 0, res.stderr
+        assert (out1 / "cases.csv").read_bytes() == (out2 / "cases.csv").read_bytes(), backend
+        assert (out1 / "summaries.json").read_bytes() == (out2 / "summaries.json").read_bytes(), backend
 
 
 def test_verify_draws_each_trial_index_once(tmp_path, monkeypatch):
@@ -683,3 +688,24 @@ def test_verify_takes_two_norms_without_an_svd(tmp_path, monkeypatch):
     monkeypatch.setenv("QEUCLID_WORKERS", "1")
     assert cmd_verify(small_config(tmp_path / "out", trials=4, suites=("R18",))) == 0
     assert len(calls) == 4
+
+
+def test_classical_verify_sorts_no_element(tmp_path, monkeypatch):
+    # the classical norms read |F| in grid order: the default classical
+    # suites build no sorted profile, and R16's entropy builds one per element
+    calls = []
+    profile = ClassicalBackend._profile
+
+    def counted(backend, payload):
+        calls.append(payload)
+        return profile(backend, payload)
+
+    monkeypatch.setattr(ClassicalBackend, "_profile", counted)
+    monkeypatch.setenv("QEUCLID_WORKERS", "1")
+    default = tuple(s.theorem for s in default_config("classical").suites)
+    for suites, sorts in ((default, 0), (("R16",), 4)):
+        cfg = small_config(tmp_path / "out", trials=4, suites=suites, backend="classical")
+        cfg.grid_half_width, cfg.grid_points = 64.0, 1024
+        calls.clear()
+        assert cmd_verify(cfg) == 0
+        assert len(calls) == sorts, suites

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qeuclid.calculus import constant_symbol, evaluate_multiplier, heat_symbol, translation_symbol
-from qeuclid.harness import REGISTRY, run_case
+from qeuclid import spectra
+from qeuclid.calculus import bessel_symbol, constant_symbol, evaluate_multiplier, heat_symbol, translation_symbol
+from qeuclid.harness import REGISTRY, RandomElement, derive_seed, run_case
 from qeuclid.oracle import ClassicalBackend
 from qeuclid.symbols import hormander_constant, sample_symbol
 
@@ -111,3 +113,24 @@ def test_classical_trace_scale_follows_dim():
         for tid, params in (("R1", {}), ("R2", {"p": 2.0})):
             case = run_case(backend, tid, params, seed)
             assert abs(case.ratio - 1.0) <= REGISTRY[tid].tol, (tid, seed, case.ratio)
+
+
+@pytest.mark.parametrize("plane", [False, True])
+def test_classical_norm_matches_sorted_profile(classical_backend, plane):
+    # ClassicalBackend.norm reads |F| in grid order; the sorted rearrangement profile is the oracle
+    b = PlaneClassicalBackend(8.0, 64) if plane else classical_backend
+    els = [b.sample_element(derive_seed(5, i)) for i in range(3)]
+    x = els[0]
+    for g in (heat_symbol(1.0), heat_symbol(20.0), bessel_symbol(1.0), bessel_symbol(-2.0)):
+        y = b.apply(g, x)
+        # the norm reads the payload alone, so a pass output without a grid symbol reads the same
+        els += [y, RandomElement(None, y.payload, {})]
+    for el in els:
+        for p in (1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 6.0):
+            assert b.norm(el, p) == pytest.approx(spectra.schatten_norm(b.profile(el), p), rel=1e-13, abs=0)
+        assert b.norm(el, math.inf) == spectra.schatten_norm(b.profile(el), math.inf) == np.abs(el.payload.samples).max()
+    zero = RandomElement(None, x.payload.with_samples(np.zeros_like(x.payload.samples)), {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 4.0 / 3.0, 2.0, math.inf):
+            assert b.norm(zero, p) == spectra.schatten_norm(b.profile(zero), p) == 0.0
